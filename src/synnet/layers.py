@@ -25,14 +25,19 @@ class UsageError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# convolution (3x3 same-padded or 1x1), via im2col
+# convolution (3x3 same-padded or 1x1), via flattened-shift GEMMs
+#
+# The input is padded once and each image's rows are flattened with the
+# padded row width wp.  The window of kernel offset (u, v) is then the
+# contiguous slice starting at u*wp + v, so a correlation is a sum of k*k
+# GEMMs over shifted views, with no im2col copy.  The result has wp columns
+# per output row; the last 2p of them are junk and are dropped.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ConvTape:
-    x_padded: np.ndarray   # zero-padded input, (n, in_c, h+2p, w+2p)
+    x_flat: np.ndarray     # zero-padded input, rows flattened: (n, in_c, (h+2p)*(w+2p))
     weights: np.ndarray
-    pad: int
     in_shape: tuple
 
 
@@ -47,10 +52,40 @@ def _check_conv_params(w: np.ndarray, b: np.ndarray):
     return out_c, in_c, kh
 
 
-def _im2col(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
-    # (n, c, h, w, k, k) view over the padded input, no copy
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return win[:, :, :h, :w]
+def _pad_flat(x: np.ndarray, p: int) -> np.ndarray:
+    n, c, h, w = x.shape
+    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).reshape(n, c, -1)
+
+
+def _shifted(flat: np.ndarray, k: int, wp: int, span: int):
+    """The k*k shifted views of a padded flat input, offsets in row-major order."""
+    return [flat[:, :, u * wp + v:u * wp + v + span] for u in range(k) for v in range(k)]
+
+
+def _correlate(flat: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
+    """Same-padded cross-correlation of a padded flat input (n, in_c, (h+2p)*(wd+2p)).
+
+    Returns an (n, out_c, h, wd) view that skips the junk columns.
+    """
+    n = flat.shape[0]
+    out_c, in_c, k, _ = w.shape
+    wp = wd + k - 1
+    span = h * wp - (k - 1)
+    y = np.empty((n, out_c, h * wp), dtype=flat.dtype)
+    head = y[:, :, :span]
+    views = _shifted(flat, k, wp, span)
+    if in_c < out_c:
+        # one GEMM over the stacked views: copying in_c*k*k rows costs less
+        # than k*k passes over out_c accumulator rows
+        np.matmul(w.reshape(out_c, -1), np.stack(views, axis=2).reshape(n, -1, span), out=head)
+    else:
+        # contiguous per-offset weights: a strided one makes matmul slower
+        taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, out_c, in_c)
+        np.matmul(taps[0], views[0], out=head)
+        part = np.empty_like(head)
+        for tap, view in zip(taps[1:], views[1:]):
+            head += np.matmul(tap, view, out=part)
+    return y.reshape(n, out_c, h, wp)[..., :wd]
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -60,12 +95,12 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     n, c, h, wd = x.shape
     if c != in_c:
         raise ShapeError(f"input has {c} channels, kernel expects {in_c}")
-    p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = _im2col(xp, k, h, wd)                      # (n, c, h, w, k, k)
-    y = np.einsum("nihwuv,oiuv->nohw", cols, w.astype(x.dtype), optimize=True)
-    y += b.astype(x.dtype)[None, :, None, None]
-    return y, ConvTape(xp, w, p, x.shape)
+    flat = _pad_flat(x, k // 2)
+    # channel-major memory, (out_c, n, h, w): batchnorm reduces per channel
+    y = np.empty((out_c, n, h, wd), dtype=x.dtype).transpose(1, 0, 2, 3)
+    np.add(_correlate(flat, w.astype(x.dtype, copy=False), h, wd),
+           b.astype(x.dtype)[None, :, None, None], out=y)
+    return y, ConvTape(flat, w, x.shape)
 
 
 def conv2d_backward(tape: ConvTape, grad_out: np.ndarray):
@@ -77,19 +112,19 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != forward output ({n},{out_c},{h},{wd})"
         )
-    cols = _im2col(tape.x_padded, k, h, wd)
-    grad_w = np.einsum("nohw,nihwuv->oiuv", grad_out, cols, optimize=True)
+    p, wp = k // 2, wd + k - 1
+    span = h * wp - (k - 1)
+    # grad_out padded like the input: row width wp, zeros in the junk columns
+    gflat = _pad_flat(grad_out, p)
+    g = gflat[:, :, p * wp + p:p * wp + p + span]
+    grad_w = np.stack([np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
+                       for view in _shifted(tape.x_flat, k, wp, span)], axis=-1)
     grad_b = grad_out.sum(axis=(0, 2, 3))
-    # scatter-add grad through each kernel offset back into the padded input
-    gxp = np.zeros_like(tape.x_padded)
-    for u in range(k):
-        for v in range(k):
-            gxp[:, :, u:u + h, v:v + wd] += np.einsum(
-                "nohw,oi->nihw", grad_out, w[:, :, u, v], optimize=True
-            ).astype(gxp.dtype)
-    p = tape.pad
-    grad_in = gxp[:, :, p:p + h, p:p + wd] if p else gxp
-    return grad_in, grad_w.astype(w.dtype), grad_b.astype(w.dtype)
+    # the input gradient is the same correlation of the padded grad_out with
+    # the kernel rotated 180 degrees and its in/out channels swapped
+    w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(gflat.dtype, copy=False)
+    grad_in = _correlate(gflat, w_rot, h, wd)
+    return grad_in, grad_w.reshape(w.shape).astype(w.dtype), grad_b.astype(w.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +164,14 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
         new_mean = stat_momentum * running_mean + (1.0 - stat_momentum) * mean
         new_var = stat_momentum * running_var + (1.0 - stat_momentum) * var
         tape = BatchNormTape(x_hat, inv_std, gamma, True)
-        return y.astype(x.dtype), tape, new_mean.astype(running_mean.dtype), new_var.astype(running_var.dtype)
+        return (y.astype(x.dtype, copy=False), tape, new_mean.astype(running_mean.dtype),
+                new_var.astype(running_var.dtype))
     elif mode == "infer":
         inv_std = 1.0 / np.sqrt(running_var + eps)
         x_hat = (x - running_mean[None, :, None, None]) * inv_std[None, :, None, None]
         y = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
-        return y.astype(x.dtype), BatchNormTape(None, None, gamma, False), running_mean, running_var
+        return (y.astype(x.dtype, copy=False), BatchNormTape(None, None, gamma, False),
+                running_mean, running_var)
     raise ParameterError(f"unknown batchnorm mode {mode!r}")
 
 
@@ -152,7 +189,8 @@ def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
     sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
     sum_gx = (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
     grad_in = (inv_std[None, :, None, None] / m) * (m * g - sum_g - x_hat * sum_gx)
-    return grad_in.astype(x_hat.dtype), grad_gamma.astype(gamma.dtype), grad_beta.astype(gamma.dtype)
+    return (grad_in.astype(x_hat.dtype, copy=False), grad_gamma.astype(gamma.dtype),
+            grad_beta.astype(gamma.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +204,13 @@ class ReluTape:
 
 def relu_forward(x: np.ndarray):
     mask = x > 0
-    return np.where(mask, x, 0).astype(x.dtype), ReluTape(mask)
+    return np.maximum(x, 0), ReluTape(mask)
 
 
 def relu_backward(tape: ReluTape, grad_out: np.ndarray):
     if grad_out.shape != tape.mask.shape:
         raise ShapeError("grad_out shape mismatch with relu tape")
-    return np.where(tape.mask, grad_out, 0).astype(grad_out.dtype)
+    return grad_out * tape.mask
 
 
 def linear_activation(x: np.ndarray) -> np.ndarray:
@@ -212,7 +250,7 @@ def maxpool2x2_forward(x: np.ndarray):
     off = win.argmax(axis=-1)                    # first occurrence on ties
     pooled = np.take_along_axis(win, off[..., None], axis=-1)[..., 0]
     idx = PoolIndices(pooled.shape, off.astype(np.uint8))
-    return pooled.astype(x.dtype), idx, PoolTape(idx, x.shape)
+    return pooled.astype(x.dtype, copy=False), idx, PoolTape(idx, x.shape)
 
 
 def _scatter_2x2(values: np.ndarray, idx: PoolIndices) -> np.ndarray:

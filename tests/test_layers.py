@@ -7,6 +7,7 @@ from synnet.layers import (UsageError, conv2d_forward, conv2d_backward,
                            maxpool2x2_forward, maxpool2x2_backward,
                            unpool2x2_forward, unpool2x2_backward)
 from synnet.tensor import RngStream, ShapeError, ParameterError
+from synnet.verify import finite_diff, max_rel_err
 
 
 def _img(rows):
@@ -77,6 +78,21 @@ def test_conv_backward_rejects_wrong_grad_shape():
     _, tape = conv2d_forward(x, np.zeros((2, 1, 3, 3)), np.zeros(2))
     with pytest.raises(ShapeError):
         conv2d_backward(tape, np.zeros((1, 2, 5, 5)))
+
+
+@pytest.mark.parametrize("in_c,out_c", [(10, 4), (4, 10)])
+def test_conv_backward_wide_nonsquare_matches_finite_diff(in_c, out_c):
+    rng = RngStream(12)
+    x = rng.uniform((2, in_c, 5, 7), -1, 1, dtype="double")
+    w = rng.uniform((out_c, in_c, 3, 3), -1, 1, dtype="double")
+    b = rng.uniform((out_c,), -1, 1, dtype="double")
+    cot = rng.uniform((2, out_c, 5, 7), -1, 1, dtype="double")
+    _, tape = conv2d_forward(x, w, b)
+    gx, gw, _ = conv2d_backward(tape, cot)
+    num_x = finite_diff(lambda v: float((conv2d_forward(v, w, b)[0] * cot).sum()), x.copy())
+    num_w = finite_diff(lambda v: float((conv2d_forward(x, v, b)[0] * cot).sum()), w.copy())
+    assert max_rel_err(gx, num_x) < 1e-7
+    assert max_rel_err(gw, num_w) < 1e-7
 
 
 def test_conv_forward_linearity_in_input():

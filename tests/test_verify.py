@@ -10,9 +10,14 @@ from synnet.verify import (conv_oracle, maxpool_oracle, ssim_standard_oracle,
 
 
 def test_conv_oracle_agrees_with_fast_path():
+    # in_c < out_c takes the stacked-views GEMM, in_c >= out_c the GEMM per
+    # kernel offset; non-square inputs check the padded row pitch
     rng = RngStream(1)
-    for k, in_c, out_c in ((3, 2, 3), (1, 3, 2)):
-        x = rng.uniform((2, in_c, 5, 5), -1, 1, dtype="double")
+    for n, k, in_c, out_c, h, wd in ((2, 3, 2, 3, 5, 5), (2, 1, 3, 2, 5, 5),
+                                     (1, 3, 1, 4, 6, 10), (2, 3, 6, 2, 6, 10),
+                                     (1, 3, 4, 4, 10, 6), (2, 1, 2, 5, 6, 10),
+                                     (1, 1, 5, 3, 4, 7)):
+        x = rng.uniform((n, in_c, h, wd), -1, 1, dtype="double")
         w = rng.uniform((out_c, in_c, k, k), -1, 1, dtype="double")
         b = rng.uniform((out_c,), -1, 1, dtype="double")
         fast, _ = conv2d_forward(x, w, b)
