@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data, metrics, optim, persist, verify
 from .model import SynNetModel
-from .tensor import RngStream
+from .tensor import DTYPES, RngStream
 
 HISTORY_COLUMNS = ("iter", "epoch", "l2", "ssim", "tv", "wd", "total")
 
@@ -41,14 +41,27 @@ def _load_config(path: str) -> persist.RunConfig:
 
 
 def _padded_pairs(samples, cfg, factor):
+    """Zero-padded (inputs, targets) pairs, and each pair's crop record."""
     pairs = data.training_pairs(samples, cfg.input_modalities, cfg.output_modalities)
-    dtype = {"single": np.float32, "double": np.float64}[cfg.dtype]
-    out = []
+    dtype = DTYPES[cfg.dtype]
+    out, recs = [], []
     for inputs, targets in pairs:
         inputs = [data.pad_to_multiple(t.astype(dtype), factor)[0] for t in inputs]
-        targets = [data.pad_to_multiple(t.astype(dtype), factor)[0] for t in targets]
-        out.append((inputs, targets))
-    return out
+        padded = [data.pad_to_multiple(t.astype(dtype), factor) for t in targets]
+        out.append((inputs, [t for t, _ in padded]))
+        recs.append(padded[0][1])
+    return out, recs
+
+
+def _scores(model, params, state, dataset, recs):
+    """Per pair, the (PSNR, SSIM) of each head, scored without the padding."""
+    for (inputs, targets), rec in zip(dataset, recs):
+        preds, _ = model.forward(params, state, inputs, mode="infer")
+        scores = []
+        for pred, targ in zip(preds, targets):
+            pred, targ = data.crop_back(pred, rec), data.crop_back(targ, rec)
+            scores.append((metrics.psnr(pred, targ), metrics.ssim_standard(pred, targ)))
+        yield scores
 
 
 def _pair_augment(pair, rng):
@@ -83,7 +96,7 @@ def cmd_train(args) -> int:
     train_ids, _ = data.split_ids(manifest.sample_ids, cfg.train_frac)
     samples = [data.load_sample(manifest, sid) for sid in train_ids]
     factor = 2 ** topo.depth
-    dataset = _padded_pairs(samples, cfg, factor)
+    dataset, recs = _padded_pairs(samples, cfg, factor)
 
     if args.resume:
         cp = persist.load_checkpoint(args.resume)
@@ -104,12 +117,8 @@ def cmd_train(args) -> int:
         _write_history(args.history, history)
 
     # final train-set quality, infer mode
-    psnrs, ssims = [], []
-    for inputs, targets in dataset:
-        preds, _ = model.forward(params, state, inputs, mode="infer")
-        for pred, targ in zip(preds, targets):
-            psnrs.append(metrics.psnr(pred, targ))
-            ssims.append(metrics.ssim_standard(pred, targ))
+    psnrs, ssims = zip(*(s for pair in _scores(model, params, state, dataset, recs)
+                         for s in pair))
     print(f"final train PSNR={_fmt(float(np.mean(psnrs)))} dB "
           f"SSIM={_fmt(float(np.mean(ssims)))}")
     return 0
@@ -132,7 +141,7 @@ def cmd_predict(args) -> int:
     if len(out_files) != topo.out_arms:
         raise ValueError(f"{topo.kind} needs {topo.out_arms} output file(s), got {len(out_files)}")
     factor = 2 ** topo.depth
-    dtype = {"single": np.float32, "double": np.float64}[cfg.dtype]
+    dtype = DTYPES[cfg.dtype]
     inputs, recs = [], []
     for path in in_files:
         t, rec = data.pad_to_multiple(data.load_pgm(path).astype(dtype), factor)
@@ -151,13 +160,12 @@ def cmd_eval(args) -> int:
     manifest = data.load_manifest(args.data)
     factor = 2 ** model.topology.depth
     samples = [data.load_sample(manifest, sid) for sid in manifest.sample_ids]
-    dataset = _padded_pairs(samples, cfg, factor)
+    dataset, recs = _padded_pairs(samples, cfg, factor)
     rows = []
-    for sid, (inputs, targets) in zip(manifest.sample_ids, dataset):
-        preds, _ = model.forward(params, state, inputs, mode="infer")
-        for head, (pred, targ) in enumerate(zip(preds, targets)):
-            rows.append((sid, head, metrics.psnr(pred, targ),
-                         metrics.ssim_standard(pred, targ)))
+    for sid, scores in zip(manifest.sample_ids,
+                           _scores(model, params, state, dataset, recs)):
+        for head, (p, s) in enumerate(scores):
+            rows.append((sid, head, p, s))
     mean_psnr = float(np.mean([r[2] for r in rows]))
     mean_ssim = float(np.mean([r[3] for r in rows]))
     with open(args.report, "w", newline="") as f:

@@ -4,6 +4,13 @@ The evaluation SSIM deliberately differs from the two-factor SSIM used in
 the training loss: it includes the covariance (structure) term and uses
 Gaussian-weighted sliding windows, so reported numbers are comparable with
 the wider literature.
+
+The 2-D Gaussian window is the outer product of a 1-D Gaussian, so the
+window statistics are filtered separably. A banded matrix R of shape
+(h-k+1, h) filters along the height and a banded C of shape (w-k+1, w) along
+the width; each row of a band holds the 1-D Gaussian shifted by one place, so
+it is a valid-mode 1-D filter. All five statistics are stacked and filtered
+by one expression, R @ stack @ C.T.
 """
 
 from __future__ import annotations
@@ -28,18 +35,25 @@ def psnr(pred, target, max_value=1.0):
     return float(10.0 * np.log10(max_value * max_value / mse))
 
 
-def gaussian_kernel(window: int, sigma: float) -> np.ndarray:
-    """Normalized 2-D Gaussian window."""
+def _gaussian_1d(window: int, sigma: float) -> np.ndarray:
     ax = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
     g = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
-def _gaussian_filter_valid(x, kernel):
-    k = kernel.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return np.einsum("nchwuv,uv->nchw", win, kernel, optimize=True)
+def gaussian_kernel(window: int, sigma: float) -> np.ndarray:
+    """Normalized 2-D Gaussian window, the outer product of the 1-D one
+    that `ssim_standard` filters with."""
+    g = _gaussian_1d(window, sigma)
+    return np.outer(g, g)
+
+
+def _band(n: int, g: np.ndarray) -> np.ndarray:
+    """(n-k+1, n) matrix whose row i holds g at columns i..i+k-1."""
+    i = np.arange(n - g.size + 1)[:, None]
+    band = np.zeros((i.size, n))
+    band[i, i + np.arange(g.size)] = g
+    return band
 
 
 def ssim_standard(pred, target, window=11, sigma=1.5, dynamic_range=1.0):
@@ -59,12 +73,12 @@ def ssim_standard(pred, target, window=11, sigma=1.5, dynamic_range=1.0):
     c2 = (0.03 * dynamic_range) ** 2
     x = target.astype(np.float64)
     y = pred.astype(np.float64)
-    kern = gaussian_kernel(window, sigma)
-    mx = _gaussian_filter_valid(x, kern)
-    my = _gaussian_filter_valid(y, kern)
-    vx = _gaussian_filter_valid(x * x, kern) - mx * mx
-    vy = _gaussian_filter_valid(y * y, kern) - my * my
-    cov = _gaussian_filter_valid(x * y, kern) - mx * my
+    g = _gaussian_1d(window, sigma)
+    rows, cols = _band(x.shape[2], g), _band(x.shape[3], g)
+    mx, my, sxx, syy, sxy = rows @ np.stack([x, y, x * x, y * y, x * y]) @ cols.T
+    vx = sxx - mx * mx
+    vy = syy - my * my
+    cov = sxy - mx * my
     num = (2 * mx * my + c1) * (2 * cov + c2)
     den = (mx * mx + my * my + c1) * (vx + vy + c2)
     return float(np.mean(num / den))

@@ -1,14 +1,18 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from synnet import data
 from synnet.cli import main
 from synnet.data import load_pgm, save_pgm, generate_phantom
-from synnet.persist import load_checkpoint
+from synnet.metrics import psnr, ssim_standard
+from synnet.model import SynNetModel
+from synnet.persist import load_checkpoint, unpack_training
 
 
 TRAIN_CFG = """
@@ -145,6 +149,40 @@ def test_eval_report_layout_and_means(tmp_path):
     ssims = [float(r[3]) for r in rows[1:-1]]
     assert float(rows[-1][2]) == pytest.approx(np.mean(psnrs), abs=1e-9)
     assert float(rows[-1][3]) == pytest.approx(np.mean(ssims), abs=1e-9)
+
+
+def test_eval_and_train_score_only_the_unpadded_image(tmp_path, capsys):
+    # 18x18 is not a multiple of 2^depth=4: the model sees 20x20 zero-padded
+    # inputs, and the scores must cover the 18x18 image alone
+    root = _gen(tmp_path, size="18x18")
+    ckpt, _ = _train(tmp_path, root)
+    train_line = capsys.readouterr().out
+    report = str(tmp_path / "report.csv")
+    assert main(["eval", "--ckpt", ckpt, "--data", root,
+                 "--report", report]) == 0
+    with open(report) as f:
+        rows = list(csv.reader(f))[1:-1]
+
+    cp = load_checkpoint(ckpt)
+    params, state, _ = unpack_training(cp, 0.05, 0.9)
+    model = SynNetModel(cp.topology)
+    manifest = data.load_manifest(root)
+    scores = []
+    for sid, row in zip(manifest.sample_ids, rows):
+        sample = data.load_sample(manifest, sid)
+        x, rec = data.pad_to_multiple(sample.modalities["m1"].astype(np.float32), 4)
+        preds, _ = model.forward(params, state, [x], mode="infer")
+        pred = data.crop_back(preds[0], rec)
+        targ = sample.modalities["m2"].astype(np.float32)
+        assert pred.shape == targ.shape == (1, 1, 18, 18)
+        scores.append((psnr(pred, targ), ssim_standard(pred, targ)))
+        assert row[:2] == [sid, "0"]
+        assert (float(row[2]), float(row[3])) == scores[-1]
+
+    n_train = len(data.split_ids(manifest.sample_ids, 0.8)[0])
+    m = re.search(r"final train PSNR=(\S+) dB SSIM=(\S+)", train_line)
+    assert float(m[1]) == np.mean([p for p, _ in scores[:n_train]])
+    assert float(m[2]) == np.mean([s for _, s in scores[:n_train]])
 
 
 def test_gradcheck_command_exit_code(tmp_path, capsys):

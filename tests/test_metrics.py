@@ -83,13 +83,27 @@ def test_ssim_standard_decreases_with_blur():
     assert ssim_standard(blurred, x) < ssim_standard(x, x)
 
 
-def test_ssim_standard_matches_bruteforce_oracle():
+@pytest.mark.parametrize("shape, dtype, window, sigma", [
+    ((1, 1, 15, 15), "double", 11, 1.5),
+    ((1, 1, 15, 23), "double", 11, 1.5),      # non-square: a swapped band fails
+    ((1, 1, 23, 15), "double", 11, 1.5),
+    ((2, 3, 17, 19), "double", 11, 1.5),      # batch and channels
+    ((1, 1, 16, 16), "single", 11, 1.5),
+    ((1, 1, 12, 13), "double", 7, 1.0),
+    ((1, 1, 11, 20), "double", 11, 1.5),      # window == short side: one valid row
+], ids=["15x15", "15x23", "23x15", "batch2x3", "float32", "window7", "one-row"])
+def test_ssim_standard_matches_bruteforce_oracle(shape, dtype, window, sigma):
     rng = RngStream(8)
-    pred = rng.uniform((1, 1, 15, 15), 0, 1, dtype="double")
-    targ = rng.uniform((1, 1, 15, 15), 0, 1, dtype="double")
-    fast = ssim_standard(pred, targ)
-    slow = ssim_standard_oracle(pred, targ)
+    pred = rng.uniform(shape, 0, 1, dtype=dtype)
+    targ = rng.uniform(shape, 0, 1, dtype=dtype)
+    fast = ssim_standard(pred, targ, window=window, sigma=sigma)
+    slow = ssim_standard_oracle(pred, targ, window=window, sigma=sigma)
     assert abs(fast - slow) < 1e-10
+
+
+def test_ssim_standard_identical_float32_64x64_is_exactly_one():
+    x = RngStream(10).uniform((1, 1, 64, 64), 0, 1, dtype="single")
+    assert ssim_standard(x, x) == 1.0
 
 
 def test_ssim_standard_window_must_fit():
