@@ -64,13 +64,6 @@ def _scores(model, params, state, dataset, recs):
         yield scores
 
 
-def _pair_augment(pair, rng):
-    tf = data.draw_transform(rng)
-    inputs, targets = pair
-    return ([data.apply_transform(t, tf).astype(t.dtype) for t in inputs],
-            [data.apply_transform(t, tf).astype(t.dtype) for t in targets])
-
-
 def _write_history(path, history):
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)
@@ -106,7 +99,7 @@ def cmd_train(args) -> int:
                                           dtype=cfg.dtype)
         opt_state = optim.OptimState(lr=cfg.lr, momentum=cfg.momentum)
 
-    augment_fn = _pair_augment if cfg.augment else None
+    augment_fn = data.augment if cfg.augment else None
     params, opt_state, history = optim.train(
         model, params, state, dataset, tcfg, opt_state, augment_fn=augment_fn)
 

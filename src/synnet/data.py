@@ -1,4 +1,4 @@
-"""Synthetic multi-modality phantoms, augmentation, PGM I/O and batching.
+"""Synthetic multi-modality phantoms, augmentation, PGM I/O and datasets.
 
 A phantom sample is a shared base field rendered into four modality images
 (m1..m4, aliases t1/t2/t1c/flair) by deterministic transforms, standing in
@@ -12,7 +12,7 @@ manifest.txt with one "id<TAB>h<TAB>w" line per sample.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,12 +172,13 @@ def apply_transform(t4: np.ndarray, tf: dict) -> np.ndarray:
     return np.ascontiguousarray(img)[None, None]
 
 
-def augment(sample: PhantomSample, rng: RngStream) -> PhantomSample:
+def augment(pair, rng: RngStream):
     """One seeded flip/rotation/scale draw, applied identically to every
-    modality of the sample."""
+    input and target image of an (inputs, targets) training pair."""
     tf = draw_transform(rng)
-    return PhantomSample(sample.sample_id,
-                         {k: apply_transform(v, tf) for k, v in sample.modalities.items()})
+    inputs, targets = pair
+    return ([apply_transform(t, tf).astype(t.dtype) for t in inputs],
+            [apply_transform(t, tf).astype(t.dtype) for t in targets])
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,12 @@ def load_manifest(root: str) -> DatasetManifest:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParameterError(f"{path}:{lineno}: expected id<TAB>h<TAB>w")
-            sid, hh, ww = parts[0], int(parts[1]), int(parts[2])
+            try:
+                sid, hh, ww = parts[0], int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParameterError(
+                    f"{path}:{lineno}: image size must be integers, got "
+                    f"{parts[1]!r} x {parts[2]!r}") from None
             if h is None:
                 h, w = hh, ww
             elif (hh, ww) != (h, w):
@@ -320,7 +326,7 @@ def load_sample(manifest: DatasetManifest, sample_id: str) -> PhantomSample:
     return PhantomSample(sample_id, mods)
 
 
-def split_ids(ids, train_frac: float = 0.8):
+def split_ids(ids, train_frac: float):
     cut = max(1, int(len(ids) * train_frac))
     return ids[:cut], ids[cut:]
 
@@ -332,25 +338,3 @@ def training_pairs(samples, input_mods, output_mods):
     return [([s.modalities[m] for m in in_mods],
              [s.modalities[m] for m in out_mods]) for s in samples]
 
-
-def batches(samples, input_mods, output_mods, batch_size, epoch_seed,
-            augment_flag=False):
-    """Seeded per-epoch permutation of samples, stacked into mini-batches.
-
-    Yields (inputs, targets): lists of (b, 1, h, w) tensors, one entry per
-    input/output modality.
-    """
-    in_mods = [canonical_modality(m) for m in input_mods]
-    out_mods = [canonical_modality(m) for m in output_mods]
-    rng = RngStream(epoch_seed)
-    order = rng.permutation(len(samples))
-    ordered = [samples[i] for i in order]
-    if augment_flag:
-        ordered = [augment(s, rng.child(f"aug{j}")) for j, s in enumerate(ordered)]
-    for lo in range(0, len(ordered), batch_size):
-        chunk = ordered[lo:lo + batch_size]
-        inputs = [np.concatenate([s.modalities[m] for s in chunk], axis=0)
-                  for m in in_mods]
-        targets = [np.concatenate([s.modalities[m] for s in chunk], axis=0)
-                   for m in out_mods]
-        yield inputs, targets

@@ -13,7 +13,7 @@ Every forward returns a tape carrying exactly what its backward needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,13 @@ class ConvTape:
     in_shape: tuple
 
 
-def _check_conv_params(w: np.ndarray, b: np.ndarray):
+def _check_conv_params(w: np.ndarray, b: np.ndarray | None):
     if w.ndim != 4:
         raise ShapeError(f"conv weights must be 4-D (out,in,kh,kw), got {w.shape}")
     out_c, in_c, kh, kw = w.shape
     if kh != kw or kh not in (1, 3):
         raise ShapeError(f"kernel must be square 1x1 or 3x3, got {kh}x{kw}")
-    if b.shape != (out_c,):
+    if b is not None and b.shape != (out_c,):
         raise ShapeError(f"bias shape {b.shape} != ({out_c},)")
     return out_c, in_c, kh
 
@@ -88,8 +88,8 @@ def _correlate(flat: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
     return y.reshape(n, out_c, h, wp)[..., :wd]
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Same-padded cross-correlation plus per-output-channel bias."""
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
+    """Same-padded cross-correlation plus an optional per-output-channel bias."""
     check_tensor(x, "x")
     out_c, in_c, k = _check_conv_params(w, b)
     n, c, h, wd = x.shape
@@ -98,8 +98,11 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     flat = _pad_flat(x, k // 2)
     # channel-major memory, (out_c, n, h, w): batchnorm reduces per channel
     y = np.empty((out_c, n, h, wd), dtype=x.dtype).transpose(1, 0, 2, 3)
-    np.add(_correlate(flat, w.astype(x.dtype, copy=False), h, wd),
-           b.astype(x.dtype)[None, :, None, None], out=y)
+    corr = _correlate(flat, w.astype(x.dtype, copy=False), h, wd)
+    if b is None:
+        np.copyto(y, corr)
+    else:
+        np.add(corr, b.astype(x.dtype)[None, :, None, None], out=y)
     return y, ConvTape(flat, w, x.shape)
 
 
@@ -194,7 +197,7 @@ def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# ReLU / linear
+# ReLU
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -211,11 +214,6 @@ def relu_backward(tape: ReluTape, grad_out: np.ndarray):
     if grad_out.shape != tape.mask.shape:
         raise ShapeError("grad_out shape mismatch with relu tape")
     return grad_out * tape.mask
-
-
-def linear_activation(x: np.ndarray) -> np.ndarray:
-    """Identity activation of the synthesis head; backward is identity too."""
-    return x
 
 
 # ---------------------------------------------------------------------------

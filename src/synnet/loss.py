@@ -14,7 +14,7 @@ finite differences by the verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,26 +34,25 @@ class LossWeights:
             raise ParameterError("loss weights must be >= 0")
 
 
+SSIM_MODES = ("local", "global")
+
+# SSIM stabilizers for images normalized to [0, 1] (dynamic range L = 1):
+# C1 = (0.01 L)^2, C2 = (0.03 L)^2, and a floor inside the std sqrt
+C1 = 0.01 ** 2
+C2 = 0.03 ** 2
+_VAR_EPS = 1e-12
+
+
 @dataclass
 class SsimConfig:
     mode: str = "local"          # local (sliding window) | global (per image)
     window: int = 7              # odd, local mode only
-    dynamic_range: float = 1.0   # L; images normalized to [0, 1]
-    c1: float = None
-    c2: float = None
-    var_eps: float = 1e-12       # stabilizer inside the std sqrt
 
     def __post_init__(self):
-        if self.mode not in ("local", "global"):
+        if self.mode not in SSIM_MODES:
             raise ParameterError(f"unknown ssim mode {self.mode!r}")
         if self.window < 1 or self.window % 2 == 0:
             raise ParameterError("ssim window must be odd and >= 1")
-        if self.c1 is None:
-            self.c1 = (0.01 * self.dynamic_range) ** 2
-        if self.c2 is None:
-            self.c2 = (0.03 * self.dynamic_range) ** 2
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ParameterError("C1 and C2 must be > 0")
 
 
 @dataclass
@@ -205,10 +204,10 @@ def _ssim_stats(pred, target, cfg: SsimConfig):
         mux, muy = _box_mean_valid(xp, k), _box_mean_valid(yp, k)
         vx = _box_mean_valid(xp * xp, k) - mux * mux
         vy = _box_mean_valid(yp * yp, k) - muy * muy
-    sx = np.sqrt(np.maximum(vx, 0.0) + cfg.var_eps)
-    sy = np.sqrt(np.maximum(vy, 0.0) + cfg.var_eps)
-    lum = (2 * mux * muy + cfg.c1) / (mux * mux + muy * muy + cfg.c1)
-    con = (2 * sx * sy + cfg.c2) / (sx * sx + sy * sy + cfg.c2)
+    sx = np.sqrt(np.maximum(vx, 0.0) + _VAR_EPS)
+    sy = np.sqrt(np.maximum(vy, 0.0) + _VAR_EPS)
+    lum = (2 * mux * muy + C1) / (mux * mux + muy * muy + C1)
+    con = (2 * sx * sy + C2) / (sx * sx + sy * sy + C2)
     return {"mux": mux, "muy": muy, "vy": vy, "sx": sx, "sy": sy,
             "lum": lum, "con": con, "yp": yp}
 
@@ -243,8 +242,8 @@ def ssim_loss(pred, target, cfg: SsimConfig, weights=None):
     q = lum * con
     w = 1.0 if weights is None else weights.astype(np.float64)
 
-    dl_dmuy = (2 * mux - lum * 2 * muy) / (mux * mux + muy * muy + cfg.c1)
-    dc_dsy = (2 * sx - con * 2 * sy) / (sx * sx + sy * sy + cfg.c2)
+    dl_dmuy = (2 * mux - lum * 2 * muy) / (mux * mux + muy * muy + C1)
+    dc_dsy = (2 * sx - con * 2 * sy) / (sx * sx + sy * sy + C2)
     dsy_dvy = np.where(vy > 0, 0.5 / sy, 0.0)
 
     if cfg.mode == "global":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .loss import C1, C2
 from .tensor import ShapeError, ParameterError, check_tensor
 
 
@@ -56,11 +57,12 @@ def _band(n: int, g: np.ndarray) -> np.ndarray:
     return band
 
 
-def ssim_standard(pred, target, window=11, sigma=1.5, dynamic_range=1.0):
+def ssim_standard(pred, target, window=11, sigma=1.5):
     """Mean three-factor SSIM over Gaussian-weighted valid windows.
 
     Per window: ((2 mx my + C1)(2 cov + C2)) / ((mx^2 + my^2 + C1)
-    (vx + vy + C2)), C1 = (0.01 L)^2, C2 = (0.03 L)^2.
+    (vx + vy + C2)), C1 = (0.01 L)^2, C2 = (0.03 L)^2 for images in [0, 1]
+    (dynamic range L = 1).
     """
     check_tensor(pred, "pred")
     check_tensor(target, "target")
@@ -69,8 +71,6 @@ def ssim_standard(pred, target, window=11, sigma=1.5, dynamic_range=1.0):
     if window > min(pred.shape[2], pred.shape[3]):
         raise ParameterError(
             f"window {window} exceeds image size {pred.shape[2]}x{pred.shape[3]}")
-    c1 = (0.01 * dynamic_range) ** 2
-    c2 = (0.03 * dynamic_range) ** 2
     x = target.astype(np.float64)
     y = pred.astype(np.float64)
     g = _gaussian_1d(window, sigma)
@@ -79,6 +79,6 @@ def ssim_standard(pred, target, window=11, sigma=1.5, dynamic_range=1.0):
     vx = sxx - mx * mx
     vy = syy - my * my
     cov = sxy - mx * my
-    num = (2 * mx * my + c1) * (2 * cov + c2)
-    den = (mx * mx + my * my + c1) * (vx + vy + c2)
+    num = (2 * mx * my + C1) * (2 * cov + C2)
+    den = (mx * mx + my * my + C1) * (vx + vy + C2)
     return float(np.mean(num / den))

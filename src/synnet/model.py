@@ -3,7 +3,11 @@
 Encoder block:  conv3x3 -> batchnorm -> ReLU -> maxpool2x2 (indices kept).
 Decoder block:  unpool (matched encoder indices) -> concat matched encoder
                 pre-pool feature maps -> conv3x3 -> batchnorm -> ReLU.
-Synthesis head: conv1x1 -> linear activation.
+Synthesis head: conv1x1 with bias, linear output.
+
+Block convs have no bias: batchnorm subtracts the per-channel mean, so a
+bias in front of it has an exactly zero gradient and never learns. The
+head and fuse convs keep theirs.
 
 Topologies:
   SISO  1 encoder arm, 1 decoder arm.
@@ -16,7 +20,7 @@ Topologies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +29,12 @@ from .tensor import RngStream, ShapeError, ParameterError, DTYPES
 from .layers import UsageError
 
 
+TOPOLOGY_KINDS = ("siso", "miso", "mimo")
+
+
 @dataclass
 class Topology:
-    kind: str = "siso"                     # siso | miso | mimo
+    kind: str = "siso"                     # one of TOPOLOGY_KINDS
     depth: int = 3
     channels: tuple = (32, 64, 64)
     in_channels: int = 1                   # channels per input image
@@ -38,7 +45,7 @@ class Topology:
 
     def __post_init__(self):
         self.channels = tuple(int(c) for c in self.channels)
-        if self.kind not in ("siso", "miso", "mimo"):
+        if self.kind not in TOPOLOGY_KINDS:
             raise ParameterError(f"unknown topology kind {self.kind!r}")
         if self.depth < 1 or len(self.channels) != self.depth:
             raise ParameterError(
@@ -82,18 +89,14 @@ class ForwardTrace:
     fuse_tapes: list         # per decoder arm (or [None] for siso)
     dec_tapes: list          # [arm][k] -> (unpool, split, conv, bn, relu)
     head_tapes: list
-    bottleneck_channels: int
     consumed: bool = False
 
 
 class SynNetModel:
     """Assembled computation graph; parameters live in an external ParamSet."""
 
-    def __init__(self, topology: Topology, bn_eps: float = 1e-5,
-                 bn_momentum: float = 0.9):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.bn_eps = bn_eps
-        self.bn_momentum = bn_momentum
 
     # -- parameter construction -------------------------------------------
 
@@ -102,43 +105,50 @@ class SynNetModel:
         t = self.topology
         shapes = {}
 
-        def add_conv(prefix, out_c, in_c, k):
-            shapes[f"{prefix}.conv.weight"] = (out_c, in_c, k, k)
+        def add_pointwise(prefix, out_c, in_c):
+            shapes[f"{prefix}.conv.weight"] = (out_c, in_c, 1, 1)
             shapes[f"{prefix}.conv.bias"] = (out_c,)
 
-        def add_bn(prefix, c):
-            shapes[f"{prefix}.bn.gamma"] = (c,)
-            shapes[f"{prefix}.bn.beta"] = (c,)
+        def add_block(prefix, out_c, in_c):
+            shapes[f"{prefix}.conv.weight"] = (out_c, in_c, 3, 3)
+            shapes[f"{prefix}.bn.gamma"] = (out_c,)
+            shapes[f"{prefix}.bn.beta"] = (out_c,)
 
         for a in range(t.in_arms):
             in_c = t.in_channels
             for i in range(t.depth):
-                prefix = f"enc.arm{a}.block{i}"
-                add_conv(prefix, t.channels[i], in_c, 3)
-                add_bn(prefix, t.channels[i])
+                add_block(f"enc.arm{a}.block{i}", t.channels[i], in_c)
                 in_c = t.channels[i]
         bott = t.channels[-1]
         if t.kind == "miso":
-            add_conv("fuse", bott, 2 * bott, 1)
+            add_pointwise("fuse", bott, 2 * bott)
         elif t.kind == "mimo":
             for d in range(t.out_arms):
-                add_conv(f"fuse.arm{d}", bott, 2 * bott, 1)
+                add_pointwise(f"fuse.arm{d}", bott, 2 * bott)
         for d in range(t.out_arms):
             prev_c = bott
             for i in reversed(range(t.depth)):
                 skip_c = len(t.skip_arms(d)) * t.channels[i]
                 out_c = t.decoder_width(i)
-                prefix = f"dec.arm{d}.block{i}"
-                add_conv(prefix, out_c, prev_c + skip_c, 3)
-                add_bn(prefix, out_c)
+                add_block(f"dec.arm{d}.block{i}", out_c, prev_c + skip_c)
                 prev_c = out_c
-            add_conv(f"head.arm{d}", t.out_channels, t.final_width, 1)
+            add_pointwise(f"head.arm{d}", t.out_channels, t.final_width)
+        return shapes
+
+    def state_shapes(self):
+        """Ordered (name -> shape) map of the batchnorm running statistics."""
+        shapes = {}
+        for name, shape in self.param_shapes().items():
+            if name.endswith("bn.gamma"):
+                prefix = name[: -len(".gamma")]
+                shapes[f"{prefix}.running_mean"] = shape
+                shapes[f"{prefix}.running_var"] = shape
         return shapes
 
     def init_params(self, rng: RngStream, dtype: str = "single"):
         """Fresh (params, state): uniform conv weights, identity batchnorm."""
         np_dtype = DTYPES[dtype]
-        params, state = {}, {}
+        params = {}
         for name, shape in self.param_shapes().items():
             if name.endswith("conv.weight"):
                 _, in_c, kh, kw = shape
@@ -148,10 +158,10 @@ class SynNetModel:
                 params[name] = np.ones(shape, dtype=np_dtype)
             else:  # conv bias, bn beta
                 params[name] = np.zeros(shape, dtype=np_dtype)
-            if name.endswith("bn.gamma"):
-                prefix = name[: -len(".gamma")]
-                state[f"{prefix}.running_mean"] = np.zeros(shape, dtype=np_dtype)
-                state[f"{prefix}.running_var"] = np.ones(shape, dtype=np_dtype)
+        state = {}
+        for name, shape in self.state_shapes().items():
+            fill = np.ones if name.endswith("running_var") else np.zeros
+            state[name] = fill(shape, dtype=np_dtype)
         return params, state
 
     def param_count(self) -> int:
@@ -163,7 +173,7 @@ class SynNetModel:
         y, tape, rm, rv = layers.batchnorm_forward(
             x, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
             state[f"{prefix}.bn.running_mean"], state[f"{prefix}.bn.running_var"],
-            eps=self.bn_eps, stat_momentum=self.bn_momentum, mode=mode)
+            mode=mode)
         if mode == "train":
             state[f"{prefix}.bn.running_mean"] = rm
             state[f"{prefix}.bn.running_var"] = rv
@@ -193,8 +203,7 @@ class SynNetModel:
             arm_tapes, arm_skips, arm_idx = [], [], []
             for i in range(t.depth):
                 prefix = f"enc.arm{a}.block{i}"
-                x, ct = layers.conv2d_forward(
-                    x, params[f"{prefix}.conv.weight"], params[f"{prefix}.conv.bias"])
+                x, ct = layers.conv2d_forward(x, params[f"{prefix}.conv.weight"])
                 x, bt = self._bn(params, state, prefix, x, mode)
                 x, rt = layers.relu_forward(x)
                 arm_skips.append(x)
@@ -226,8 +235,7 @@ class SynNetModel:
                 split = [p.shape[1] for p in parts]
                 x = np.concatenate(parts, axis=1)
                 prefix = f"dec.arm{d}.block{i}"
-                x, ct = layers.conv2d_forward(
-                    x, params[f"{prefix}.conv.weight"], params[f"{prefix}.conv.bias"])
+                x, ct = layers.conv2d_forward(x, params[f"{prefix}.conv.weight"])
                 x, bt = self._bn(params, state, prefix, x, mode)
                 x, rt = layers.relu_forward(x)
                 arm_dec.append((ut, split, ct, bt, rt) if keep else None)
@@ -235,14 +243,12 @@ class SynNetModel:
 
             y, ht = layers.conv2d_forward(
                 x, params[f"head.arm{d}.conv.weight"], params[f"head.arm{d}.conv.bias"])
-            preds.append(layers.linear_activation(y))
+            preds.append(y)
             head_tapes.append(ht if keep else None)
 
         if not keep:
             return preds, None
-        trace = ForwardTrace(enc_tapes, fuse_tapes, dec_tapes, head_tapes,
-                             bottleneck_channels=t.channels[-1])
-        return preds, trace
+        return preds, ForwardTrace(enc_tapes, fuse_tapes, dec_tapes, head_tapes)
 
     # -- backward -----------------------------------------------------------
 
@@ -280,9 +286,8 @@ class SynNetModel:
                 g, gg, gbeta = layers.batchnorm_backward(bt, g)
                 add(f"{prefix}.bn.gamma", gg)
                 add(f"{prefix}.bn.beta", gbeta)
-                g, gw, gb = layers.conv2d_backward(ct, g)
+                g, gw, _ = layers.conv2d_backward(ct, g)
                 add(f"{prefix}.conv.weight", gw)
-                add(f"{prefix}.conv.bias", gb)
                 # split concat gradient: unpooled path first, then skip maps
                 pieces = np.split(g, np.cumsum(split)[:-1], axis=1)
                 for a, piece in zip(t.skip_arms(d), pieces[1:]):
@@ -296,7 +301,7 @@ class SynNetModel:
                 g, gw, gb = layers.conv2d_backward(trace.fuse_tapes[d], g)
                 add(f"{name}.conv.weight", gw)
                 add(f"{name}.conv.bias", gb)
-                cb = trace.bottleneck_channels
+                cb = t.channels[-1]
                 for a in range(t.in_arms):
                     acc(bott_grads, a, g[:, a * cb:(a + 1) * cb])
 
@@ -312,9 +317,8 @@ class SynNetModel:
                 g, gg, gbeta = layers.batchnorm_backward(bt, g)
                 add(f"{prefix}.bn.gamma", gg)
                 add(f"{prefix}.bn.beta", gbeta)
-                g, gw, gb = layers.conv2d_backward(ct, g)
+                g, gw, _ = layers.conv2d_backward(ct, g)
                 add(f"{prefix}.conv.weight", gw)
-                add(f"{prefix}.conv.bias", gb)
 
         return grads
 

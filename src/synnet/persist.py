@@ -1,12 +1,18 @@
 """Checkpoint serialization and plain-text run configuration.
 
 Checkpoint binary layout (all integers little-endian):
-  magic "SYNNETCK" | u32 version=1
+  magic "SYNNETCK" | u32 version=2
   | topology: u8 kind (0 siso, 1 miso, 2 mimo), u32 depth, u32 channel
-    count, u32 channels...
+    count, u32 channels..., u32 in_channels, u32 out_channels,
+    u32 final_width, u8 miso_index_arm, u8 mimo_arm_matched_skips
   | u32 tensor count, then per tensor: u32 name length, UTF-8 name,
     u8 dtype (0 single, 1 double), u32 ndim, u32 dims..., raw scalars
   | u32 config-text length, UTF-8 config echo.
+
+The header alone fixes the topology; the config echo carries the run
+settings (dtype, optimizer) and is never read for the model's shape.
+Version 1 files, which kept part of the topology only in the echo and
+stored a bias for every block conv, are rejected.
 
 Config files are `key = value` lines; `#` comments and blank lines are
 allowed; unknown keys are rejected.
@@ -15,17 +21,17 @@ allowed; unknown keys are rejected.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .loss import LossWeights, SsimConfig
-from .model import Topology
-from .optim import OptimState, TrainConfig
+from .loss import SSIM_MODES, LossWeights, SsimConfig
+from .model import TOPOLOGY_KINDS, SynNetModel, Topology
+from .optim import LOSS_KINDS, OptimState, TrainConfig
+from .tensor import DTYPES, ParameterError
 
 _MAGIC = b"SYNNETCK"
-_VERSION = 1
-_KINDS = ("siso", "miso", "mimo")
+_VERSION = 2
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.float32, 1: np.float64}
 
@@ -60,45 +66,45 @@ def _parse_int_tuple(v: str):
 
 @dataclass
 class RunConfig:
-    lambda1: float = 10.0
-    lambda2: float = 5.0
-    lambda3: float = 0.5
-    lambda4: float = 0.0001
-    lr: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 32
-    epochs: int = 10
-    seed: int = 42
-    loss: str = "joint"
-    topology: str = "siso"
-    depth: int = 3
-    channels: tuple = (32, 64, 64)
-    final_width: int = 64
-    ssim_mode: str = "local"
-    ssim_window: int = 7
-    edge_beta: float = 4.0
-    tv_eps: float = 1e-8
+    """Flat run settings; those that mirror a library class take its default."""
+    lambda1: float = LossWeights.lambda1
+    lambda2: float = LossWeights.lambda2
+    lambda3: float = LossWeights.lambda3
+    lambda4: float = LossWeights.lambda4
+    lr: float = OptimState.lr
+    momentum: float = OptimState.momentum
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    seed: int = TrainConfig.seed
+    loss: str = TrainConfig.loss
+    topology: str = Topology.kind
+    depth: int = Topology.depth
+    channels: tuple = Topology.channels
+    final_width: int = Topology.final_width
+    ssim_mode: str = SsimConfig.mode
+    ssim_window: int = SsimConfig.window
+    edge_beta: float = TrainConfig.edge_beta
+    tv_eps: float = TrainConfig.tv_eps
     input_modalities: tuple = ("m1",)
     output_modalities: tuple = ("m2",)
     augment: bool = False
-    shuffle: bool = True
-    miso_index_arm: int = 0
-    mimo_arm_matched_skips: bool = False
+    shuffle: bool = TrainConfig.shuffle
+    miso_index_arm: int = Topology.miso_index_arm
+    mimo_arm_matched_skips: bool = Topology.mimo_arm_matched_skips
     dtype: str = "single"
     train_frac: float = 0.8
 
 
-_PARSERS = {
-    float: float,
-    int: int,
-    str: str,
-    bool: _parse_bool,
-    tuple: None,  # resolved per field below
-}
 _TUPLE_FIELDS = {
     "channels": _parse_int_tuple,
     "input_modalities": _parse_str_tuple,
     "output_modalities": _parse_str_tuple,
+}
+_CHOICES = {
+    "dtype": tuple(DTYPES),
+    "loss": LOSS_KINDS,
+    "topology": TOPOLOGY_KINDS,
+    "ssim_mode": SSIM_MODES,
 }
 
 
@@ -125,6 +131,11 @@ def parse_config(text: str) -> RunConfig:
                 parsed = type(current)(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: cannot parse value {value!r} for {key!r}")
+        if key in _CHOICES and parsed not in _CHOICES[key]:
+            raise ConfigError(f"line {lineno}: {key} must be one of "
+                              f"{', '.join(_CHOICES[key])}, got {value!r}")
+        if key == "train_frac" and not 0 < parsed <= 1:
+            raise ConfigError(f"line {lineno}: train_frac must be in (0, 1], got {value!r}")
         setattr(cfg, key, parsed)
     return cfg
 
@@ -173,10 +184,12 @@ def save_checkpoint(path: str, cp: Checkpoint):
     out = bytearray()
     out += _MAGIC
     out += struct.pack("<I", _VERSION)
-    out += struct.pack("<B", _KINDS.index(t.kind))
+    out += struct.pack("<B", TOPOLOGY_KINDS.index(t.kind))
     out += struct.pack("<I", t.depth)
     out += struct.pack("<I", len(t.channels))
     out += struct.pack(f"<{len(t.channels)}I", *t.channels)
+    out += struct.pack("<3I", t.in_channels, t.out_channels, t.final_width)
+    out += struct.pack("<2B", t.miso_index_arm, t.mimo_arm_matched_skips)
     out += struct.pack("<I", len(cp.tensors))
     for name, arr in cp.tensors.items():
         if arr.dtype not in _DTYPE_TAGS:
@@ -221,11 +234,19 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != _VERSION:
         raise CheckpointError(f"unsupported version {version}")
     kind_tag = r.u8("topology kind")
-    if kind_tag >= len(_KINDS):
+    if kind_tag >= len(TOPOLOGY_KINDS):
         raise CheckpointError(f"bad topology kind tag {kind_tag}")
     depth = r.u32("depth")
     n_ch = r.u32("channel count")
     channels = struct.unpack(f"<{n_ch}I", r.take(4 * n_ch, "channels"))
+    in_c, out_c, final_width = struct.unpack("<3I", r.take(12, "topology widths"))
+    miso_arm, matched = r.take(2, "topology flags")
+    try:
+        topo = Topology(kind=TOPOLOGY_KINDS[kind_tag], depth=depth, channels=channels,
+                        in_channels=in_c, out_channels=out_c, final_width=final_width,
+                        miso_index_arm=miso_arm, mimo_arm_matched_skips=bool(matched))
+    except ParameterError as exc:
+        raise CheckpointError(f"bad topology: {exc}") from None
     count = r.u32("tensor count")
     tensors = {}
     for i in range(count):
@@ -242,16 +263,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         tensors[name] = arr.reshape(dims).astype(_TAG_DTYPES[tag]).copy()
     clen = r.u32("config length")
     config_text = r.take(clen, "config text").decode()
-    # kind/depth/channels come from the binary block; the remaining topology
-    # fields ride in the config echo
-    try:
-        cfg = parse_config(config_text) if config_text else RunConfig()
-    except ConfigError:
-        cfg = RunConfig()
-    topo = Topology(kind=_KINDS[kind_tag], depth=depth, channels=channels,
-                    final_width=cfg.final_width,
-                    miso_index_arm=cfg.miso_index_arm,
-                    mimo_arm_matched_skips=cfg.mimo_arm_matched_skips)
     return Checkpoint(topo, tensors, config_text, version)
 
 
@@ -273,8 +284,24 @@ def pack_training(topology: Topology, params, state, opt_state: OptimState,
     return Checkpoint(topology, tensors, config_text)
 
 
+def _check_tensors(group: str, got: dict, want: dict):
+    """Raise CheckpointError naming the first tensor that is missing, has
+    the wrong shape, or is not expected."""
+    for name, shape in want.items():
+        if name not in got:
+            raise CheckpointError(f"missing tensor {group}.{name}")
+        if got[name].shape != shape:
+            raise CheckpointError(f"tensor {group}.{name} has shape {got[name].shape}, "
+                                  f"the topology needs {shape}")
+    for name in got:
+        if name not in want:
+            raise CheckpointError(f"unexpected tensor {group}.{name}")
+
+
 def unpack_training(cp: Checkpoint, lr: float, momentum: float):
-    """(params, state, opt_state) from a packed checkpoint."""
+    """(params, state, opt_state) from a packed checkpoint, checked against
+    the tensors its topology needs."""
+    counters = ("optim.iteration", "optim.epoch")
     params, state, velocity = {}, {}, {}
     for name, arr in cp.tensors.items():
         if name.startswith("param."):
@@ -283,6 +310,17 @@ def unpack_training(cp: Checkpoint, lr: float, momentum: float):
             state[name[len("state."):]] = arr
         elif name.startswith("velocity."):
             velocity[name[len("velocity."):]] = arr
+        elif name not in counters:
+            raise CheckpointError(f"unexpected tensor {name}")
+    model = SynNetModel(cp.topology)
+    param_shapes = model.param_shapes()
+    _check_tensors("param", params, param_shapes)
+    _check_tensors("state", state, model.state_shapes())
+    if velocity:  # empty until the first SGD step
+        _check_tensors("velocity", velocity, param_shapes)
+    for name in counters:
+        if cp.tensors.get(name, np.empty(0)).shape != (1,):
+            raise CheckpointError(f"missing or malformed tensor {name}")
     opt = OptimState(velocity=velocity,
                      iteration=int(cp.tensors["optim.iteration"][0]),
                      epoch=int(cp.tensors["optim.epoch"][0]),

@@ -1,4 +1,4 @@
-"""Dense NCHW tensor helpers: construction, channel ops, seeded randomness.
+"""Dense NCHW tensor conventions: dtype tags, checks, seeded randomness.
 
 All tensors are plain ``numpy.ndarray`` objects with exactly four axes in
 (batch, channel, height, width) order, row-major. No broadcasting is allowed
@@ -24,16 +24,6 @@ class ParameterError(ValueError):
     """A scalar/config argument violates a precondition."""
 
 
-def check_shape4(shape) -> tuple[int, int, int, int]:
-    """Validate an (n, c, h, w) shape tuple and return it normalized to ints."""
-    if len(shape) != 4:
-        raise ShapeError(f"expected 4-D (n,c,h,w) shape, got {shape!r}")
-    dims = tuple(int(d) for d in shape)
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"all dimensions must be >= 1, got {dims}")
-    return dims
-
-
 def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     """Assert x is a finite 4-D array; returns x unchanged."""
     if not isinstance(x, np.ndarray) or x.ndim != 4:
@@ -41,12 +31,6 @@ def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ParameterError(f"{name} contains non-finite values")
     return x
-
-
-def tensor_new(shape, fill: float = 0.0, dtype: str = "single") -> np.ndarray:
-    """New (n,c,h,w) tensor with every element set to `fill`."""
-    dims = check_shape4(shape)
-    return np.full(dims, fill, dtype=DTYPES[dtype])
 
 
 class RngStream:
@@ -83,30 +67,3 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-
-def tensor_random(shape, rng: RngStream, scale: float, dtype: str = "single") -> np.ndarray:
-    """Tensor with elements drawn uniformly from [-scale, +scale]."""
-    dims = check_shape4(shape)
-    if scale <= 0:
-        raise ParameterError(f"scale must be > 0, got {scale}")
-    return rng.uniform(dims, -scale, scale, dtype=dtype)
-
-
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate along the channel axis; batch and spatial dims must agree."""
-    check_tensor(a, "a")
-    check_tensor(b, "b")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(
-            f"concat_channels: batch/spatial mismatch {a.shape} vs {b.shape}"
-        )
-    return np.concatenate([a, b], axis=1)
-
-
-def slice_channels(x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Copy of channels [start, stop) of x."""
-    check_tensor(x, "x")
-    c = x.shape[1]
-    if not (0 <= start < stop <= c):
-        raise ShapeError(f"channel slice [{start},{stop}) out of range for c={c}")
-    return x[:, start:stop].copy()

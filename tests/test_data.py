@@ -8,7 +8,7 @@ from synnet.data import (MODALITIES, canonical_modality, generate_phantom,
                          augment, PgmParseError, save_pgm, load_pgm,
                          pad_to_multiple, crop_back, write_dataset,
                          load_manifest, load_sample, split_ids,
-                         training_pairs, batches)
+                         training_pairs)
 from synnet.tensor import RngStream, ShapeError, ParameterError
 
 
@@ -93,11 +93,17 @@ def test_apply_transform_preserves_shape_under_scaling():
 
 def test_augment_applies_same_transform_to_all_modalities():
     s = generate_phantom(9, 16, 16)
-    out = augment(s, RngStream(33))
+    pair = training_pairs([s], ("m1", "m3"), ("m2", "m4"))[0]
+    pair = ([t.astype(np.float32) for t in pair[0]], pair[1])
+    inputs, targets = augment(pair, RngStream(33))
     tf = draw_transform(RngStream(33))
-    for m in MODALITIES:
-        assert np.array_equal(out.modalities[m],
-                              apply_transform(s.modalities[m], tf))
+    assert tf != {"hflip": False, "vflip": False, "rot90": 0, "scale": 1.0}
+    for got, orig in zip(inputs + targets, pair[0] + pair[1]):
+        assert got.dtype == orig.dtype
+        assert np.array_equal(got, apply_transform(orig, tf).astype(orig.dtype))
+    # the same seed draws the same transform
+    again = augment(pair, RngStream(33))
+    assert all(np.array_equal(a, b) for a, b in zip(inputs + targets, again[0] + again[1]))
 
 
 def test_draw_transform_deterministic():
@@ -204,6 +210,14 @@ def test_load_manifest_rejects_malformed(tmp_path):
         load_manifest(str(root))
 
 
+def test_load_manifest_rejects_non_integer_size(tmp_path):
+    root = tmp_path / "bad"
+    root.mkdir()
+    (root / "manifest.txt").write_text("s0000\t16\t16\ns0001\tx\t16\n")
+    with pytest.raises(ParameterError, match=r"manifest\.txt:2: image size"):
+        load_manifest(str(root))
+
+
 def test_split_ids():
     ids = [f"s{i}" for i in range(10)]
     train, test = split_ids(ids, 0.8)
@@ -222,13 +236,3 @@ def test_training_pairs_layout():
     assert np.array_equal(inputs[0], samples[0].modalities["m1"])
     assert np.array_equal(targets[0], samples[0].modalities["m4"])
 
-
-def test_batches_partition_and_determinism():
-    samples = [generate_phantom(s, 16, 16) for s in range(5)]
-    got = list(batches(samples, ("m1",), ("m2",), batch_size=2, epoch_seed=7))
-    assert [b[0][0].shape[0] for b in got] == [2, 2, 1]
-    again = list(batches(samples, ("m1",), ("m2",), batch_size=2, epoch_seed=7))
-    for (i1, t1), (i2, t2) in zip(got, again):
-        assert np.array_equal(i1[0], i2[0]) and np.array_equal(t1[0], t2[0])
-    other = list(batches(samples, ("m1",), ("m2",), batch_size=2, epoch_seed=8))
-    assert any(not np.array_equal(a[0][0], b[0][0]) for a, b in zip(got, other))

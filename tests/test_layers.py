@@ -3,7 +3,7 @@ import pytest
 
 from synnet.layers import (UsageError, conv2d_forward, conv2d_backward,
                            batchnorm_forward, batchnorm_backward,
-                           relu_forward, relu_backward, linear_activation,
+                           relu_forward, relu_backward,
                            maxpool2x2_forward, maxpool2x2_backward,
                            unpool2x2_forward, unpool2x2_backward)
 from synnet.tensor import RngStream, ShapeError, ParameterError
@@ -46,6 +46,19 @@ def test_conv_bias_only():
     y, _ = conv2d_forward(x, w, b)
     for c in range(3):
         assert np.all(y[0, c] == b[c])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_without_bias_equals_zero_bias(dtype):
+    rng = RngStream(21)
+    x = rng.uniform((2, 3, 6, 10), -1, 1).astype(dtype)
+    w = rng.uniform((5, 3, 3, 3), -1, 1).astype(dtype)
+    y, _ = conv2d_forward(x, w)
+    y0, _ = conv2d_forward(x, w, np.zeros(5, dtype=dtype))
+    assert y.dtype == dtype and y.shape == (2, 5, 6, 10)
+    assert np.array_equal(y, y0)
+    # channel-major memory, as batchnorm expects
+    assert y.transpose(1, 0, 2, 3).flags.c_contiguous
 
 
 def test_conv1x1_mixes_channels_pointwise():
@@ -188,11 +201,6 @@ def test_relu_forward_and_subgradient_at_zero():
     assert np.array_equal(y, _img([[0.0, 0.0], [2.0, 0.0]]))
     g = relu_backward(tape, np.ones_like(x))
     assert np.array_equal(g, _img([[0.0, 0.0], [1.0, 0.0]]))
-
-
-def test_linear_activation_is_identity():
-    x = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
-    assert linear_activation(x) is x
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,13 @@ def test_param_count_matches_shape_tally():
     model = SynNetModel(topo)
     shapes = model.param_shapes()
     # independent tally: encoder convs 1->4->6, decoder convs consume
-    # (prev + skip) channels, head is 1x1 from final_width
+    # (prev + skip) channels, head is 1x1 from final_width; block convs
+    # feed batchnorm and have no bias, the head conv has one
     expect = 0
-    expect += 4 * 1 * 9 + 4 + 2 * 4          # enc block0 conv + bn
-    expect += 6 * 4 * 9 + 6 + 2 * 6          # enc block1
-    expect += 4 * (6 + 6) * 9 + 4 + 2 * 4    # dec block1 -> channels[0]=4
-    expect += 4 * (4 + 4) * 9 + 4 + 2 * 4    # dec block0 -> final_width=4
+    expect += 4 * 1 * 9 + 2 * 4              # enc block0 conv + bn
+    expect += 6 * 4 * 9 + 2 * 6              # enc block1
+    expect += 4 * (6 + 6) * 9 + 2 * 4        # dec block1 -> channels[0]=4
+    expect += 4 * (4 + 4) * 9 + 2 * 4        # dec block0 -> final_width=4
     expect += 1 * 4 * 1 + 1                  # head
     assert model.param_count() == expect == sum(
         int(np.prod(s)) for s in shapes.values())

@@ -1,8 +1,11 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from synnet.model import Topology, build_model
-from synnet.optim import OptimState
+from synnet.model import SynNetModel, Topology, build_model
+from synnet.optim import OptimState, TrainConfig
 from synnet.persist import (RunConfig, ConfigError, CheckpointError,
                             parse_config, format_config, topology_from_config,
                             train_config_from_config, Checkpoint,
@@ -51,6 +54,43 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config("lr = 0.1\nepochs = 2\nbatch_size = many\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("dtype = half", "dtype must be one of single, double"),
+    ("loss = l1", "loss must be one of l2, weighted_l2, joint"),
+    ("topology = simo", "topology must be one of siso, miso, mimo"),
+    ("ssim_mode = fast", "ssim_mode must be one of local, global"),
+    ("train_frac = 0", r"train_frac must be in \(0, 1\]"),
+    ("train_frac = 1.5", r"train_frac must be in \(0, 1\]"),
+], ids=["dtype", "loss", "topology", "ssim_mode", "train_frac-0", "train_frac-1.5"])
+def test_parse_config_rejects_values_outside_allowed_set(line, message):
+    with pytest.raises(ConfigError, match=f"line 2: {message}"):
+        parse_config(f"lr = 0.1\n{line}\n")
+
+
+def test_parse_config_accepts_every_allowed_value():
+    text = "dtype = double\nloss = weighted_l2\ntopology = mimo\n" \
+           "ssim_mode = global\ntrain_frac = 1\n"
+    cfg = parse_config(text)
+    assert (cfg.dtype, cfg.loss, cfg.topology, cfg.ssim_mode, cfg.train_frac) == \
+        ("double", "weighted_l2", "mimo", "global", 1.0)
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg = RunConfig()
+    assert topology_from_config(cfg) == Topology()
+    assert train_config_from_config(cfg) == TrainConfig()
+    assert (cfg.lr, cfg.momentum) == (OptimState().lr, OptimState().momentum)
+
+
+def test_readme_config_example_lists_every_key_at_its_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = [line.split("=")[0].strip() for line in example.splitlines()
+            if "=" in line.split("#")[0]]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    assert parse_config(example) == RunConfig()
+
+
 def test_config_format_parse_roundtrip():
     cfg = RunConfig(lr=0.05, channels=(4, 8), depth=2, augment=True,
                     input_modalities=("m1", "m3"), ssim_mode="global")
@@ -89,9 +129,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, dtype):
     path = str(tmp_path / "a.ckpt")
     save_checkpoint(path, cp)
     back = load_checkpoint(path)
-    assert back.topology.kind == cp.topology.kind
-    assert back.topology.depth == cp.topology.depth
-    assert tuple(back.topology.channels) == cp.topology.channels
+    assert back.topology == cp.topology
     assert back.config_text == cp.config_text
     assert list(back.tensors) == list(cp.tensors)
     for name in cp.tensors:
@@ -133,6 +171,90 @@ def test_checkpoint_rejects_unsupported_version(tmp_path):
     open(path, "wb").write(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    # v1 kept part of the topology only in the config echo and stored a
+    # bias for every block conv
+    path = str(tmp_path / "v1")
+    save_checkpoint(path, _ckpt("single"))
+    raw = bytearray(open(path, "rb").read())
+    assert raw[8:12] == (2).to_bytes(4, "little")
+    raw[8:12] = (1).to_bytes(4, "little")
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(CheckpointError, match="unsupported version 1"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("topo", [
+    Topology(kind="siso", depth=3, channels=(8, 16, 16), final_width=16),
+    Topology(kind="miso", depth=2, channels=(4, 6), final_width=8, miso_index_arm=1),
+    Topology(kind="mimo", depth=1, channels=(4,), final_width=6, in_channels=2,
+             out_channels=3, mimo_arm_matched_skips=True),
+], ids=["slim-siso", "miso-arm1", "mimo-matched"])
+@pytest.mark.parametrize("echo", ["seed = 1\n", "this echo does not parse\n", ""],
+                         ids=["seed-echo", "bad-echo", "no-echo"])
+def test_checkpoint_header_carries_the_whole_topology(tmp_path, topo, echo):
+    # an echo that omits the topology or does not parse must not change it
+    _, params, state = build_model(topo, RngStream(5))
+    path = str(tmp_path / "t.ckpt")
+    save_checkpoint(path, pack_training(topo, params, state, OptimState(), echo))
+    back = load_checkpoint(path)
+    assert back.topology == topo
+    assert back.config_text == echo
+    p2, s2, _ = unpack_training(back, 0.01, 0.9)
+    assert all(np.array_equal(p2[n], params[n]) for n in params)
+    assert all(np.array_equal(s2[n], state[n]) for n in state)
+
+
+def test_checkpoint_rejects_topology_the_model_cannot_build(tmp_path):
+    path = str(tmp_path / "arm")
+    save_checkpoint(path, Checkpoint(Topology(kind="miso", depth=1, channels=(4,)), {}))
+    raw = bytearray(open(path, "rb").read())
+    # magic, version, kind, depth, channel count, 1 channel, 3 widths
+    arm = 8 + 4 + 1 + 4 + 4 + 4 + 12
+    assert raw[arm] == 0
+    raw[arm] = 2
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(CheckpointError, match="bad topology: miso_index_arm"):
+        load_checkpoint(path)
+
+
+def _packed():
+    topo = Topology(kind="siso", depth=1, channels=(4,), final_width=4)
+    _, params, state = build_model(topo, RngStream(6))
+    return pack_training(topo, params, state, OptimState(), "")
+
+
+def test_unpack_rejects_missing_tensor():
+    cp = _packed()
+    del cp.tensors["param.head.arm0.conv.weight"]
+    with pytest.raises(CheckpointError, match=r"missing tensor param\.head\.arm0\.conv\.weight"):
+        unpack_training(cp, 0.01, 0.9)
+
+
+def test_unpack_rejects_wrong_shape():
+    cp = _packed()
+    cp.tensors["state.dec.arm0.block0.bn.running_var"] = np.ones(5, np.float32)
+    with pytest.raises(CheckpointError,
+                       match=r"tensor state\.dec\.arm0\.block0\.bn\.running_var has shape \(5,\)"):
+        unpack_training(cp, 0.01, 0.9)
+
+
+def test_unpack_rejects_block_conv_bias():
+    # a block conv bias, as version 1 stored, is not part of the model
+    cp = _packed()
+    cp.tensors["param.enc.arm0.block0.conv.bias"] = np.zeros(4, np.float32)
+    with pytest.raises(CheckpointError,
+                       match=r"unexpected tensor param\.enc\.arm0\.block0\.conv\.bias"):
+        unpack_training(cp, 0.01, 0.9)
+
+
+def test_unpack_rejects_missing_optimizer_counter():
+    cp = _packed()
+    del cp.tensors["optim.epoch"]
+    with pytest.raises(CheckpointError, match=r"optim\.epoch"):
+        unpack_training(cp, 0.01, 0.9)
 
 
 def test_pack_unpack_training_roundtrip(tmp_path):

@@ -1,61 +1,14 @@
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
 
-from synnet.tensor import (RngStream, ShapeError, ParameterError, tensor_new,
-                           tensor_random, concat_channels, slice_channels)
-
-
-def test_tensor_new_zero_fill():
-    t = tensor_new((1, 1, 2, 2), 0.0)
-    assert t.shape == (1, 1, 2, 2)
-    assert np.all(t == 0.0)
-
-
-def test_tensor_new_single_element():
-    t = tensor_new((1, 1, 1, 1), 3.5)
-    assert t.item() == pytest.approx(3.5)
-
-
-def test_tensor_new_element_count():
-    t = tensor_new((2, 3, 4, 4), 1.0)
-    assert t.size == 96
-    assert np.all(t == 1.0)
-
-
-def test_tensor_new_rejects_zero_dim():
-    with pytest.raises(ShapeError):
-        tensor_new((1, 0, 2, 2), 0.0)
+from synnet.tensor import RngStream
 
 
 def test_row_major_layout():
     # flat index of (n,c,h,w) = ((n*C + c)*H + h)*W + w
-    t = tensor_new((2, 3, 4, 5), 0.0, dtype="double")
+    t = np.zeros((2, 3, 4, 5))
     t[1, 2, 3, 4] = 7.0
     flat = ((1 * 3 + 2) * 4 + 3) * 5 + 4
     assert t.ravel()[flat] == 7.0
-
-
-def test_tensor_random_deterministic():
-    a = tensor_random((2, 2, 3, 3), RngStream(99), 0.5)
-    b = tensor_random((2, 2, 3, 3), RngStream(99), 0.5)
-    assert np.array_equal(a, b)
-
-
-def test_tensor_random_range_bound():
-    t = tensor_random((1, 4, 8, 8), RngStream(7), 0.1)
-    assert np.all(np.abs(t) <= 0.1)
-
-
-def test_tensor_random_seeds_differ():
-    a = tensor_random((1, 1, 8, 8), RngStream(1), 1.0)
-    b = tensor_random((1, 1, 8, 8), RngStream(2), 1.0)
-    assert np.any(a != b)
-
-
-def test_tensor_random_rejects_nonpositive_scale():
-    with pytest.raises(ParameterError):
-        tensor_random((1, 1, 2, 2), RngStream(0), 0.0)
 
 
 def test_rng_child_streams_are_independent_and_stable():
@@ -65,42 +18,3 @@ def test_rng_child_streams_are_independent_and_stable():
     c = RngStream(42).child("epoch1").uniform((4,), 0, 1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_concat_channels_shapes_and_order():
-    a = tensor_random((1, 2, 4, 4), RngStream(1), 1.0)
-    b = tensor_random((1, 3, 4, 4), RngStream(2), 1.0)
-    cat = concat_channels(a, b)
-    assert cat.shape == (1, 5, 4, 4)
-    assert np.array_equal(cat[:, :2], a)
-    assert np.array_equal(cat[:, 2:], b)
-
-
-def test_concat_channels_rejects_spatial_mismatch():
-    a = tensor_new((1, 2, 4, 4), 0.0)
-    b = tensor_new((1, 2, 4, 5), 0.0)
-    with pytest.raises(ShapeError):
-        concat_channels(a, b)
-
-
-def test_slice_channels_basic_and_identity():
-    x = tensor_random((1, 4, 2, 2), RngStream(3), 1.0)
-    assert slice_channels(x, 0, 2).shape == (1, 2, 2, 2)
-    assert np.array_equal(slice_channels(x, 0, 4), x)
-
-
-def test_slice_channels_rejects_out_of_range():
-    x = tensor_new((1, 4, 2, 2), 0.0)
-    with pytest.raises(ShapeError):
-        slice_channels(x, 2, 5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(c=st.integers(2, 8), k=st.integers(1, 7), seed=st.integers(0, 1000))
-def test_concat_slice_partition_roundtrip(c, k, seed):
-    k = min(k, c - 1)
-    x = tensor_random((2, c, 3, 3), RngStream(seed), 1.0, dtype="double")
-    left = slice_channels(x, 0, k)
-    right = slice_channels(x, k, c)
-    assert np.array_equal(concat_channels(left, right), x)
-    assert np.array_equal(slice_channels(concat_channels(left, right), 0, k), left)
