@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import RngStream, ShapeError, ParameterError
-from .loss import sobel_magnitude
+from .loss import _correlate3x3, sobel_magnitude
 
 MODALITIES = ("m1", "m2", "m3", "m4")
 MODALITY_ALIASES = {"t1": "m1", "t2": "m2", "t1c": "m3", "flair": "m4",
@@ -48,16 +48,6 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 # phantom generation
 # ---------------------------------------------------------------------------
-
-def _box_blur3(img4):
-    xp = np.pad(img4, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
-    h, w = img4.shape[2], img4.shape[3]
-    out = np.zeros_like(img4, dtype=np.float64)
-    for u in range(3):
-        for v in range(3):
-            out += xp[:, :, u:u + h, v:v + w]
-    return out / 9.0
-
 
 def generate_phantom(seed: int, h: int, w: int, sample_id: str = None) -> PhantomSample:
     """Render one deterministic multi-modality phantom.
@@ -100,7 +90,7 @@ def generate_phantom(seed: int, h: int, w: int, sample_id: str = None) -> Phanto
         edges = edges / peak
     mods = {
         "m1": b4,
-        "m2": _box_blur3(1.0 - b4),
+        "m2": _correlate3x3(1.0 - b4, np.ones((3, 3))) / 9.0,
         "m3": np.clip(b4 + 0.5 * edges, 0.0, 1.0),
         "m4": np.sqrt(b4),
     }

@@ -39,6 +39,7 @@ class ConvTape:
     x_flat: np.ndarray     # zero-padded input, rows flattened: (n, in_c, (h+2p)*(w+2p))
     weights: np.ndarray
     in_shape: tuple
+    has_bias: bool
 
 
 def _check_conv_params(w: np.ndarray, b: np.ndarray | None):
@@ -103,11 +104,11 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
         np.copyto(y, corr)
     else:
         np.add(corr, b.astype(x.dtype)[None, :, None, None], out=y)
-    return y, ConvTape(flat, w, x.shape)
+    return y, ConvTape(flat, w, x.shape, b is not None)
 
 
 def conv2d_backward(tape: ConvTape, grad_out: np.ndarray):
-    """Gradients w.r.t. input, weights and bias."""
+    """Gradients w.r.t. input, weights and bias (None if the forward had none)."""
     w = tape.weights
     out_c, in_c, k, _ = w.shape
     n, c, h, wd = tape.in_shape
@@ -122,12 +123,12 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray):
     g = gflat[:, :, p * wp + p:p * wp + p + span]
     grad_w = np.stack([np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
                        for view in _shifted(tape.x_flat, k, wp, span)], axis=-1)
-    grad_b = grad_out.sum(axis=(0, 2, 3))
+    grad_b = grad_out.sum(axis=(0, 2, 3)).astype(w.dtype) if tape.has_bias else None
     # the input gradient is the same correlation of the padded grad_out with
     # the kernel rotated 180 degrees and its in/out channels swapped
     w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(gflat.dtype, copy=False)
     grad_in = _correlate(gflat, w_rot, h, wd)
-    return grad_in, grad_w.reshape(w.shape).astype(w.dtype), grad_b.astype(w.dtype)
+    return grad_in, grad_w.reshape(w.shape).astype(w.dtype), grad_b
 
 
 # ---------------------------------------------------------------------------

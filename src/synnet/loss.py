@@ -1,10 +1,16 @@
 """Training cost terms with analytic gradients w.r.t. the prediction.
 
 Terms: (optionally edge-weighted) mean squared error, the two-factor
-luminance-times-contrast SSIM loss in global (whole image statistics) or
-local (uniform sliding window) mode, total-variation smoothing, and an
-L2 weight-decay penalty over convolution weights. `joint_loss` combines
-them with the four relative weights.
+luminance-times-contrast SSIM loss, total-variation smoothing, and an L2
+weight-decay penalty over convolution weights. `joint_loss` combines them
+with the four relative weights.
+
+The SSIM statistics go through one linear window operator, and its
+gradient through that operator's adjoint. `SsimConfig.mode` picks the
+operator: local mode is a uniform k x k window with reflected borders,
+filtered as R @ a @ C.T with (h, h) and (w, w) band matrices R and C (the
+reflect padding folded into the bands); global mode is the mean over each
+image's (c, h, w), broadcast back, and is its own adjoint.
 
 All image losses are normalized by N*P (images times pixels per image) so
 the default relative weights are independent of image size; the TV term is
@@ -148,68 +154,47 @@ def edge_weight_map(target, beta=4.0):
 # two-factor SSIM (luminance * contrast)
 # ---------------------------------------------------------------------------
 
-def _box_sum_valid(x, k):
-    """Sum over every k x k window (valid positions) of the last two axes."""
-    c = np.cumsum(x, axis=-2, dtype=np.float64)
-    c = np.concatenate([np.zeros_like(c[..., :1, :]), c], axis=-2)
-    x = c[..., k:, :] - c[..., :-k, :]
-    c = np.cumsum(x, axis=-1)
-    c = np.concatenate([np.zeros_like(c[..., :1]), c], axis=-1)
-    return c[..., k:] - c[..., :-k]
+def _band(n: int, g: np.ndarray) -> np.ndarray:
+    """(n-k+1, n) matrix whose row i holds g at columns i..i+k-1."""
+    i = np.arange(n - g.size + 1)[:, None]
+    band = np.zeros((i.size, n))
+    band[i, i + np.arange(g.size)] = g
+    return band
 
 
-def _box_mean_valid(x, k):
-    return _box_sum_valid(x, k) / (k * k)
+def _reflect_box(n: int, k: int) -> np.ndarray:
+    """(n, n) k-wide uniform mean with reflected borders: the valid band over
+    the reflect-padded axis, the padding folded in as a row selection."""
+    reflect = np.eye(n)[np.pad(np.arange(n), k // 2, mode="reflect")]
+    return _band(n + k - 1, np.full(k, 1.0 / k)) @ reflect
 
 
-def _box_mean_adjoint(g, k):
-    """Adjoint of _box_mean_valid: scatter each window mean's gradient back."""
-    pad = k - 1
-    gz = np.pad(g, [(0, 0)] * (g.ndim - 2) + [(pad, pad), (pad, pad)])
-    return _box_sum_valid(gz, k) / (k * k)
-
-
-def _reflect_pad(x, r):
-    return np.pad(x, ((0, 0), (0, 0), (r, r), (r, r)), mode="reflect")
-
-
-def _reflect_pad_adjoint(g_padded, h, w, r):
-    """Fold gradients at reflected border positions back onto their sources."""
-    idx = np.pad(np.arange(h * w).reshape(h, w), r, mode="reflect").ravel()
-    lead = g_padded.shape[:2]
-    flat = g_padded.reshape(lead[0] * lead[1], -1)
-    acc = np.zeros((flat.shape[0], h * w), dtype=np.float64)
-    np.add.at(acc, (np.arange(flat.shape[0])[:, None], idx[None, :]), flat)
-    return acc.reshape(lead[0], lead[1], h, w)
-
-
-def _ssim_stats(pred, target, cfg: SsimConfig):
-    """Window (or whole-image) statistics and the l, c factor maps."""
-    x = target.astype(np.float64)
-    y = pred.astype(np.float64)
+def _window(shape, cfg: SsimConfig):
+    """The SSIM window mean on stacks of (n, c, h, w) images, and its adjoint:
+    R @ a @ C.T and R.T @ g @ C in local mode, the per-image mean (its own
+    adjoint) in global mode."""
+    h, w = shape[-2:]
     if cfg.mode == "global":
-        ax = (1, 2, 3)
-        mux = x.mean(axis=ax, keepdims=True)
-        muy = y.mean(axis=ax, keepdims=True)
-        vx = (x * x).mean(axis=ax, keepdims=True) - mux * mux
-        vy = (y * y).mean(axis=ax, keepdims=True) - muy * muy
-        yp = None
-    else:
-        k = cfg.window
-        if k > min(pred.shape[2], pred.shape[3]):
-            raise ParameterError(
-                f"ssim window {k} exceeds image size {pred.shape[2]}x{pred.shape[3]}")
-        r = k // 2
-        xp, yp = _reflect_pad(x, r), _reflect_pad(y, r)
-        mux, muy = _box_mean_valid(xp, k), _box_mean_valid(yp, k)
-        vx = _box_mean_valid(xp * xp, k) - mux * mux
-        vy = _box_mean_valid(yp * yp, k) - muy * muy
+        def mean(a):
+            return np.broadcast_to(a.mean(axis=(-3, -2, -1), keepdims=True), a.shape)
+        return mean, mean
+    k = cfg.window
+    if k > min(h, w):
+        raise ParameterError(f"ssim window {k} exceeds image size {h}x{w}")
+    rows, cols = _reflect_box(h, k), _reflect_box(w, k)
+    return (lambda a: rows @ a @ cols.T), (lambda g: rows.T @ g @ cols)
+
+
+def _ssim_stats(x, y, filt):
+    """Window statistics of target x and prediction y and the l, c factors."""
+    mux, muy, mxx, myy = filt(np.stack([x, y, x * x, y * y]))
+    vx = mxx - mux * mux
+    vy = myy - muy * muy
     sx = np.sqrt(np.maximum(vx, 0.0) + _VAR_EPS)
     sy = np.sqrt(np.maximum(vy, 0.0) + _VAR_EPS)
     lum = (2 * mux * muy + C1) / (mux * mux + muy * muy + C1)
     con = (2 * sx * sy + C2) / (sx * sx + sy * sy + C2)
-    return {"mux": mux, "muy": muy, "vy": vy, "sx": sx, "sy": sy,
-            "lum": lum, "con": con, "yp": yp}
+    return mux, muy, vy, sx, sy, lum, con
 
 
 def ssim_map(pred, target, cfg: SsimConfig):
@@ -220,49 +205,37 @@ def ssim_map(pred, target, cfg: SsimConfig):
     borders so the map covers every pixel.
     """
     _check_pair(pred, target)
-    st = _ssim_stats(pred, target, cfg)
-    q = st["lum"] * st["con"]
-    if cfg.mode == "global":
-        q = np.broadcast_to(q, pred.shape).copy()
-    return q
+    filt, _ = _window(pred.shape, cfg)
+    *_, lum, con = _ssim_stats(target.astype(np.float64), pred.astype(np.float64), filt)
+    return lum * con
 
 
 def ssim_loss(pred, target, cfg: SsimConfig, weights=None):
     """Mean (optionally weighted) of 1 - Q, with the analytic gradient.
 
     The gradient applies the product rule through both factors and through
-    the window mean and standard deviation of the prediction.
+    the window mean and standard deviation of the prediction, then maps the
+    coefficients of the window mean of y and of y^2 back through the
+    window's adjoint.
     """
     _check_pair(pred, target, weights)
     n = pred.shape[0]
     p = pred[0].size
-    st = _ssim_stats(pred, target, cfg)
-    mux, muy, sx, sy = st["mux"], st["muy"], st["sx"], st["sy"]
-    lum, con, vy = st["lum"], st["con"], st["vy"]
+    y = pred.astype(np.float64)
+    filt, adjoint = _window(pred.shape, cfg)
+    mux, muy, vy, sx, sy, lum, con = _ssim_stats(target.astype(np.float64), y, filt)
     q = lum * con
     w = 1.0 if weights is None else weights.astype(np.float64)
+    loss = float(np.sum(w * (1.0 - q)) / (n * p))
 
     dl_dmuy = (2 * mux - lum * 2 * muy) / (mux * mux + muy * muy + C1)
     dc_dsy = (2 * sx - con * 2 * sy) / (sx * sx + sy * sy + C2)
     dsy_dvy = np.where(vy > 0, 0.5 / sy, 0.0)
-
-    if cfg.mode == "global":
-        loss = float(np.sum(w * (1.0 - q) * np.ones_like(pred, dtype=np.float64)) / (n * p))
-        wsum = np.sum(w * np.ones_like(pred, dtype=np.float64), axis=(1, 2, 3), keepdims=True)
-        scale = -wsum / (n * p)
-        y = pred.astype(np.float64)
-        dq_dmuy = con * dl_dmuy + lum * dc_dsy * dsy_dvy * (-2 * muy)
-        dq_dm2 = lum * dc_dsy * dsy_dvy
-        grad = scale * (dq_dmuy / p + dq_dm2 * (2 * y) / p)
-    else:
-        loss = float(np.sum(w * (1.0 - q)) / (n * p))
-        g = -(w * np.ones_like(q)) / (n * p)
-        coef_mu = g * (con * dl_dmuy + lum * dc_dsy * dsy_dvy * (-2 * muy))
-        coef_m2 = g * (lum * dc_dsy * dsy_dvy)
-        k, r = cfg.window, cfg.window // 2
-        gyp = _box_mean_adjoint(coef_mu, k) + _box_mean_adjoint(coef_m2, k) * (2 * st["yp"])
-        grad = _reflect_pad_adjoint(gyp, pred.shape[2], pred.shape[3], r)
-    return loss, grad.astype(pred.dtype)
+    g = -(w * np.ones_like(q)) / (n * p)
+    coef_mu = g * (con * dl_dmuy + lum * dc_dsy * dsy_dvy * (-2 * muy))
+    coef_m2 = g * (lum * dc_dsy * dsy_dvy)
+    g_mu, g_m2 = adjoint(np.stack([coef_mu, coef_m2]))
+    return loss, (g_mu + g_m2 * (2 * y)).astype(pred.dtype)
 
 
 # ---------------------------------------------------------------------------

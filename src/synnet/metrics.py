@@ -9,15 +9,16 @@ The 2-D Gaussian window is the outer product of a 1-D Gaussian, so the
 window statistics are filtered separably. A banded matrix R of shape
 (h-k+1, h) filters along the height and a banded C of shape (w-k+1, w) along
 the width; each row of a band holds the 1-D Gaussian shifted by one place, so
-it is a valid-mode 1-D filter. All five statistics are stacked and filtered
-by one expression, R @ stack @ C.T.
+it is a valid-mode 1-D filter, built by the same `loss._band` that the
+training SSIM's window uses. All five statistics are stacked and filtered by
+one expression, R @ stack @ C.T.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .loss import C1, C2
+from .loss import C1, C2, _band
 from .tensor import ShapeError, ParameterError, check_tensor
 
 
@@ -47,14 +48,6 @@ def gaussian_kernel(window: int, sigma: float) -> np.ndarray:
     that `ssim_standard` filters with."""
     g = _gaussian_1d(window, sigma)
     return np.outer(g, g)
-
-
-def _band(n: int, g: np.ndarray) -> np.ndarray:
-    """(n-k+1, n) matrix whose row i holds g at columns i..i+k-1."""
-    i = np.arange(n - g.size + 1)[:, None]
-    band = np.zeros((i.size, n))
-    band[i, i + np.arange(g.size)] = g
-    return band
 
 
 def ssim_standard(pred, target, window=11, sigma=1.5):

@@ -14,12 +14,16 @@ settings (dtype, optimizer) and is never read for the model's shape.
 Version 1 files, which kept part of the topology only in the echo and
 stored a bias for every block conv, are rejected.
 
+Checkpoints are saved atomically: written to a temporary file in the
+target's directory, then renamed over the target.
+
 Config files are `key = value` lines; `#` comments and blank lines are
 allowed; unknown keys are rejected.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, fields as dc_fields
 
@@ -202,8 +206,17 @@ def save_checkpoint(path: str, cp: Checkpoint):
         out += np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
     cb = cp.config_text.encode()
     out += struct.pack("<I", len(cb)) + cb
-    with open(path, "wb") as f:
-        f.write(out)
+    # write beside the target, then rename over it: a failed write leaves
+    # any earlier checkpoint whole
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(out)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -88,6 +88,40 @@ def ssim_standard_oracle(pred, target, window=11, sigma=1.5):
     return float(np.mean(vals))
 
 
+def ssim_map_oracle(pred, target, cfg: loss_mod.SsimConfig):
+    """Per-pixel two-factor SSIM (luminance * contrast) by explicit loops:
+    per pixel over its reflect-padded uniform window in local mode, per
+    image over the whole (c, h, w) in global mode."""
+    c1 = 0.01 ** 2
+    c2 = 0.03 ** 2
+    eps = 1e-12
+
+    def q(xw, yw):
+        mx, my = float(xw.mean()), float(yw.mean())
+        sx = np.sqrt(max(float((xw * xw).mean()) - mx * mx, 0.0) + eps)
+        sy = np.sqrt(max(float((yw * yw).mean()) - my * my, 0.0) + eps)
+        return ((2 * mx * my + c1) / (mx * mx + my * my + c1)
+                * (2 * sx * sy + c2) / (sx * sx + sy * sy + c2))
+
+    x = target.astype(np.float64)
+    y = pred.astype(np.float64)
+    n, c, h, w = pred.shape
+    out = np.zeros((n, c, h, w), dtype=np.float64)
+    k = cfg.window
+    r = k // 2
+    for bi in range(n):
+        if cfg.mode == "global":
+            out[bi] = q(x[bi], y[bi])
+            continue
+        for ci in range(c):
+            xp = np.pad(x[bi, ci], r, mode="reflect")
+            yp = np.pad(y[bi, ci], r, mode="reflect")
+            for i in range(h):
+                for j in range(w):
+                    out[bi, ci, i, j] = q(xp[i:i + k, j:j + k], yp[i:i + k, j:j + k])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------

@@ -86,6 +86,19 @@ def test_conv_backward_bias_grad_is_sum():
     assert np.allclose(gb, g.sum(axis=(0, 2, 3)))
 
 
+def test_conv_backward_without_bias_gives_no_bias_grad():
+    rng = RngStream(5)
+    x = rng.uniform((2, 2, 4, 4), -1, 1, dtype="double")
+    w = rng.uniform((3, 2, 3, 3), -1, 1, dtype="double")
+    g = rng.uniform((2, 3, 4, 4), -1, 1, dtype="double")
+    _, tape = conv2d_forward(x, w)
+    gx, gw, gb = conv2d_backward(tape, g)
+    assert gb is None
+    _, tape_b = conv2d_forward(x, w, np.zeros(3))
+    gx_b, gw_b, _ = conv2d_backward(tape_b, g)
+    assert np.array_equal(gx, gx_b) and np.array_equal(gw, gw_b)
+
+
 def test_conv_backward_rejects_wrong_grad_shape():
     x = np.zeros((1, 1, 4, 4))
     _, tape = conv2d_forward(x, np.zeros((2, 1, 3, 3)), np.zeros(2))

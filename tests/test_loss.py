@@ -6,6 +6,7 @@ from synnet.loss import (LossWeights, SsimConfig, l2_loss, edge_weight_map,
                          sobel_magnitude, ssim_map, ssim_loss, tv_loss,
                          weight_decay, joint_loss)
 from synnet.tensor import RngStream, ShapeError, ParameterError
+from synnet.verify import finite_diff, max_rel_err
 
 
 def _img(rows):
@@ -141,6 +142,19 @@ def test_ssim_loss_decreases_as_pred_approaches_target():
     cfg = SsimConfig(mode="local", window=7)
     losses = [ssim_loss(targ + a * noise, targ, cfg)[0] for a in (0.3, 0.1, 0.0)]
     assert losses[0] > losses[1] > losses[2]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_ssim_loss_gradient_matches_finite_differences(mode, weighted):
+    rng = RngStream(9)
+    pred = rng.uniform((2, 2, 9, 13), 0, 1, dtype="double")
+    targ = rng.uniform((2, 2, 9, 13), 0, 1, dtype="double")
+    wmap = 1.0 + rng.uniform((2, 1, 9, 13), 0, 1, dtype="double") if weighted else None
+    cfg = SsimConfig(mode=mode, window=5)
+    _, grad = ssim_loss(pred, targ, cfg, wmap)
+    numeric = finite_diff(lambda v: ssim_loss(v, targ, cfg, wmap)[0], pred.copy())
+    assert max_rel_err(grad, numeric) <= 1e-5
 
 
 def test_ssim_window_must_fit():

@@ -4,6 +4,7 @@ import pytest
 from synnet.layers import UsageError
 from synnet.model import Topology, SynNetModel, build_model
 from synnet.tensor import RngStream, ShapeError, ParameterError
+from synnet.verify import finite_diff, max_rel_err
 
 
 def _tiny(kind, **kw):
@@ -177,3 +178,29 @@ def test_backward_grad_count_validation():
     preds, trace = model.forward(params, state, inputs, mode="train")
     with pytest.raises(UsageError):
         model.backward(params, trace, [np.ones_like(preds[0])])
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("miso", dict(miso_index_arm=0)),
+    ("miso", dict(miso_index_arm=1)),
+    ("mimo", dict(mimo_arm_matched_skips=False)),
+    ("mimo", dict(mimo_arm_matched_skips=True)),
+], ids=["miso-arm0", "miso-arm1", "mimo-full-skips", "mimo-matched-skips"])
+def test_backward_matches_finite_differences_at_depth_2(kind, extra):
+    # fusion, cross-arm skips and both heads, in double, for every parameter
+    topo = Topology(kind=kind, depth=2, channels=(2, 2), final_width=2, **extra)
+    model, params, state = build_model(topo, RngStream(15), dtype="double")
+    rng = RngStream(16)
+    inputs = [rng.uniform((2, 1, 8, 8), 0, 1, dtype="double") for _ in range(2)]
+    cots = [rng.uniform((2, 1, 8, 8), -1, 1, dtype="double")
+            for _ in range(topo.out_arms)]
+
+    def probe(trial):
+        preds, _ = model.forward(trial, dict(state), inputs, mode="train")
+        return sum(float((p * c).sum()) for p, c in zip(preds, cots))
+
+    _, trace = model.forward(params, dict(state), inputs, mode="train")
+    grads = model.backward(params, trace, cots)
+    for name, value in params.items():
+        numeric = finite_diff(lambda v: probe({**params, name: v}), value.copy())
+        assert max_rel_err(grads[name], numeric) <= 1e-5, name

@@ -1,9 +1,12 @@
 import dataclasses
+import errno
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from synnet import persist
 from synnet.model import SynNetModel, Topology, build_model
 from synnet.optim import OptimState, TrainConfig
 from synnet.persist import (RunConfig, ConfigError, CheckpointError,
@@ -143,6 +146,22 @@ def test_checkpoint_save_twice_byte_identical(tmp_path):
     save_checkpoint(p1, cp)
     save_checkpoint(p2, cp)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_checkpoint_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(str(path), _ckpt("single"))
+    before = path.read_bytes()
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(persist, "open", lambda p, mode: FullDisk(p, "w"), raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(str(path), _ckpt("double"))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
 
 
 def test_checkpoint_bad_magic(tmp_path):

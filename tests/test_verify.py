@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from synnet.layers import conv2d_forward, maxpool2x2_forward
+from synnet.loss import SsimConfig, ssim_map
 from synnet.metrics import ssim_standard
 from synnet.tensor import RngStream, ParameterError
 from synnet.verify import (conv_oracle, maxpool_oracle, ssim_standard_oracle,
+                           ssim_map_oracle,
                            finite_diff, max_rel_err, gradcheck_suite,
                            format_report)
 
@@ -42,6 +44,27 @@ def test_maxpool_oracle_tie_break():
 def test_ssim_oracle_is_one_for_identical():
     x = RngStream(3).uniform((1, 1, 12, 12), 0, 1, dtype="double")
     assert ssim_standard_oracle(x, x) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+@pytest.mark.parametrize("shape,window,dtype", [
+    ((1, 1, 9, 9), 5, "double"),
+    ((1, 1, 9, 13), 7, "double"),
+    ((1, 1, 13, 9), 3, "double"),
+    ((2, 3, 9, 13), 5, "double"),
+    ((2, 1, 9, 9), 5, "single"),
+    ((1, 1, 9, 13), 1, "double"),
+    ((1, 2, 9, 13), 9, "double"),
+    ((1, 1, 13, 9), 9, "double"),
+])
+def test_ssim_map_oracle_agrees_with_fast_path(mode, shape, window, dtype):
+    rng = RngStream(4)
+    pred = rng.uniform(shape, 0, 1, dtype=dtype)
+    target = rng.uniform(shape, 0, 1, dtype=dtype)
+    cfg = SsimConfig(mode=mode, window=window)
+    fast = ssim_map(pred, target, cfg)
+    assert fast.shape == shape
+    assert np.max(np.abs(fast - ssim_map_oracle(pred, target, cfg))) <= 1e-10
 
 
 def test_finite_diff_linear_function():
