@@ -2,11 +2,20 @@
 
 Conventions fixed here (the network blocks are assembled in `model`):
   - convolution is cross-correlation (no kernel flip), "same" zero padding;
+    when in_c >= out_c its per-offset GEMMs run over chunks of images that
+    fit in one core's L2 (see the convolution section);
   - max pooling is non-overlapping 2x2 / stride 2 with first-occurrence
-    tie-break in row-major window order;
+    tie-break in row-major window order.  It works on the four strided
+    corners x[:, :, u::2, v::2], offset 2u+v: the pooled value is the
+    value at the recorded offset, bit for bit, so a +0.0/-0.0 tie keeps
+    the earlier corner's zero, as `verify.maxpool_oracle` does;
   - unpooling scatters each value to the argmax position recorded by the
-    matched pool and leaves exact zeros elsewhere;
+    matched pool and leaves +0.0 elsewhere; the pool gradient is the same
+    scatter and the unpool gradient the matching four-corner gather;
   - ReLU subgradient at exactly 0 is 0.
+
+Layers check shapes but do not scan for non-finite values: the model
+checks its inputs once, and training checks its predictions.
 
 Every forward returns a tape carrying exactly what its backward needs.
 """
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, ParameterError, check_tensor
+from .tensor import ShapeError, ParameterError, check_4d
 
 
 class UsageError(RuntimeError):
@@ -32,7 +41,20 @@ class UsageError(RuntimeError):
 # contiguous slice starting at u*wp + v, so a correlation is a sum of k*k
 # GEMMs over shifted views, with no im2col copy.  The result has wp columns
 # per output row; the last 2p of them are junk and are dropped.
+#
+# When in_c >= out_c the k*k partial products are summed into an
+# accumulator, one tap at a time.  Over a whole paper-scale batch that
+# accumulator is tens of MB, and each tap streams it from memory again.  So
+# the taps run over chunks of images instead, each chunk as many images as
+# fit their accumulator, partial product and input rows,
+# (2*out_c + in_c)*h*wp*itemsize bytes per image, into _L2_BYTES.  Small
+# layers fit the whole batch in one chunk: a loop over single images made
+# them several times slower.  Each image's GEMMs and tap order do not
+# depend on the chunk, so neither do the results.
 # ---------------------------------------------------------------------------
+
+_L2_BYTES = 2 << 20     # 2 MiB, one core's private L2 on the benchmark host
+
 
 @dataclass
 class ConvTape:
@@ -73,25 +95,31 @@ def _correlate(flat: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
     wp = wd + k - 1
     span = h * wp - (k - 1)
     y = np.empty((n, out_c, h * wp), dtype=flat.dtype)
-    head = y[:, :, :span]
-    views = _shifted(flat, k, wp, span)
     if in_c < out_c:
         # one GEMM over the stacked views: copying in_c*k*k rows costs less
         # than k*k passes over out_c accumulator rows
-        np.matmul(w.reshape(out_c, -1), np.stack(views, axis=2).reshape(n, -1, span), out=head)
+        views = _shifted(flat, k, wp, span)
+        np.matmul(w.reshape(out_c, -1), np.stack(views, axis=2).reshape(n, -1, span),
+                  out=y[:, :, :span])
     else:
         # contiguous per-offset weights: a strided one makes matmul slower
         taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, out_c, in_c)
-        np.matmul(taps[0], views[0], out=head)
-        part = np.empty_like(head)
-        for tap, view in zip(taps[1:], views[1:]):
-            head += np.matmul(tap, view, out=part)
+        # accumulator, partial product and input rows of one chunk fit in L2
+        per_image = (2 * out_c + in_c) * h * wp * flat.itemsize
+        chunk = min(n, max(1, _L2_BYTES // per_image))
+        part = np.empty((chunk, out_c, span), dtype=flat.dtype)
+        for lo in range(0, n, chunk):
+            head = y[lo:lo + chunk, :, :span]
+            views = _shifted(flat[lo:lo + chunk], k, wp, span)
+            np.matmul(taps[0], views[0], out=head)
+            for tap, view in zip(taps[1:], views[1:]):
+                head += np.matmul(tap, view, out=part[:len(head)])
     return y.reshape(n, out_c, h, wp)[..., :wd]
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
     """Same-padded cross-correlation plus an optional per-output-channel bias."""
-    check_tensor(x, "x")
+    check_4d(x, "x")
     out_c, in_c, k = _check_conv_params(w, b)
     n, c, h, wd = x.shape
     if c != in_c:
@@ -143,6 +171,10 @@ class BatchNormTape:
     train: bool
 
 
+def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
+    return v.astype(dtype, copy=False)[None, :, None, None]
+
+
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
                       stat_momentum=0.9, mode="train"):
     """Per-channel batch normalization.
@@ -152,7 +184,7 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
     statistics and produces an empty tape.
     Returns (y, tape, new_running_mean, new_running_var).
     """
-    check_tensor(x, "x")
+    check_4d(x, "x")
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
@@ -161,14 +193,17 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
         if n * h * w == 1:
             raise ParameterError("batchnorm train mode needs more than one value per channel")
         mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))          # biased
+        # centre once; the centred values become x_hat in place
+        x_hat = np.subtract(x, mean[None, :, None, None])
+        var = np.square(x_hat).mean(axis=(0, 2, 3))          # biased
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        y = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
+        x_hat *= inv_std[None, :, None, None]
+        y = np.multiply(x_hat, _per_channel(gamma, x.dtype))
+        y += _per_channel(beta, x.dtype)
         new_mean = stat_momentum * running_mean + (1.0 - stat_momentum) * mean
         new_var = stat_momentum * running_var + (1.0 - stat_momentum) * var
         tape = BatchNormTape(x_hat, inv_std, gamma, True)
-        return (y.astype(x.dtype, copy=False), tape, new_mean.astype(running_mean.dtype),
+        return (y, tape, new_mean.astype(running_mean.dtype),
                 new_var.astype(running_var.dtype))
     elif mode == "infer":
         inv_std = 1.0 / np.sqrt(running_var + eps)
@@ -180,7 +215,12 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
 
 
 def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
-    """Full batch-norm backward (gradients through mean and variance)."""
+    """Full batch-norm backward (gradients through mean and variance).
+
+    With g = grad_out * gamma, the textbook sums are sum(g) = gamma * grad_beta
+    and sum(g * x_hat) = gamma * grad_gamma, so
+    grad_in = gamma * inv_std * (grad_out - grad_beta/m - x_hat * grad_gamma/m).
+    """
     if not tape.train:
         raise UsageError("batchnorm_backward requires a train-mode tape")
     x_hat, inv_std, gamma = tape.x_hat, tape.inv_std, tape.gamma
@@ -189,12 +229,11 @@ def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
     m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
     grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
-    g = grad_out * gamma[None, :, None, None]
-    sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-    sum_gx = (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-    grad_in = (inv_std[None, :, None, None] / m) * (m * g - sum_g - x_hat * sum_gx)
-    return (grad_in.astype(x_hat.dtype, copy=False), grad_gamma.astype(gamma.dtype),
-            grad_beta.astype(gamma.dtype))
+    grad_in = np.multiply(x_hat, _per_channel(grad_gamma / -m, x_hat.dtype))
+    grad_in += grad_out
+    grad_in -= _per_channel(grad_beta / m, x_hat.dtype)
+    grad_in *= _per_channel(gamma * inv_std, x_hat.dtype)
+    return grad_in, grad_gamma.astype(gamma.dtype), grad_beta.astype(gamma.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -234,35 +273,61 @@ class PoolTape:
     in_shape: tuple
 
 
-def _windows_2x2(x: np.ndarray) -> np.ndarray:
-    n, c, h, w = x.shape
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5) \
-            .reshape(n, c, h // 2, w // 2, 4)
+def _corners(x: np.ndarray):
+    """The four strided views x[:, :, u::2, v::2], in offset order 0..3."""
+    return [x[:, :, u::2, v::2] for u in (0, 1) for v in (0, 1)]
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """x's float bits as signed integers of the same width (a view)."""
+    return x.view(f"i{x.itemsize}")
+
+
+def _corner_mask(offsets: np.ndarray, o: int) -> np.ndarray:
+    """All-ones bits where `offsets == o`, zero bits elsewhere (int8)."""
+    mask = np.equal(offsets, o).view(np.int8)
+    return np.negative(mask, out=mask)
 
 
 def maxpool2x2_forward(x: np.ndarray):
-    check_tensor(x, "x")
+    check_4d(x, "x")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    win = _windows_2x2(x)
-    off = win.argmax(axis=-1)                    # first occurrence on ties
-    pooled = np.take_along_axis(win, off[..., None], axis=-1)[..., 0]
-    idx = PoolIndices(pooled.shape, off.astype(np.uint8))
-    return pooled.astype(x.dtype, copy=False), idx, PoolTape(idx, x.shape)
+    first, *rest = _corners(x)
+    best, running = np.empty_like(first), first
+    offsets = np.zeros_like(first, dtype=np.uint8)
+    for o, corner in enumerate(rest, start=1):
+        # the last corner strictly above the running max is the first one
+        # equal to the window max, so the largest such offset is the argmax
+        above = np.greater(corner, running).view(np.uint8)
+        np.maximum(offsets, np.multiply(above, np.uint8(o), out=above), out=offsets)
+        # on a tie np.maximum returns its second argument, the running max,
+        # so of +0.0 and -0.0 the earlier corner's zero is kept
+        running = np.maximum(corner, running, out=best)
+    idx = PoolIndices(best.shape, offsets)
+    return best, idx, PoolTape(idx, x.shape)
 
 
 def _scatter_2x2(values: np.ndarray, idx: PoolIndices) -> np.ndarray:
+    """Each value at its recorded offset in a 2x2 block, +0.0 elsewhere."""
     n, c, hh, ww = values.shape
-    out_win = np.zeros((n, c, hh, ww, 4), dtype=values.dtype)
-    np.put_along_axis(out_win, idx.offsets[..., None].astype(np.int64), values[..., None], axis=-1)
-    return out_win.reshape(n, c, hh, ww, 2, 2).transpose(0, 1, 2, 4, 3, 5) \
-                  .reshape(n, c, hh * 2, ww * 2)
+    out = np.empty((n, c, hh * 2, ww * 2), dtype=values.dtype)
+    bits = _bits(values)
+    # a bitwise AND with an all-ones or all-zero mask writes a corner's
+    # value or +0.0 exactly, in one pass per corner
+    for o, corner in enumerate(_corners(_bits(out))):
+        np.bitwise_and(bits, _corner_mask(idx.offsets, o), out=corner)
+    return out
 
 
 def _gather_2x2(x: np.ndarray, idx: PoolIndices) -> np.ndarray:
-    win = _windows_2x2(x)
-    return np.take_along_axis(win, idx.offsets[..., None].astype(np.int64), axis=-1)[..., 0]
+    """The value at each 2x2 block's recorded offset."""
+    out = None
+    for o, corner in enumerate(_corners(_bits(x))):
+        picked = np.bitwise_and(corner, _corner_mask(idx.offsets, o))
+        out = picked if out is None else np.bitwise_or(out, picked, out=out)
+    return out.view(x.dtype)
 
 
 def maxpool2x2_backward(tape: PoolTape, grad_out: np.ndarray):
@@ -279,7 +344,7 @@ class UnpoolTape:
 
 
 def unpool2x2_forward(v: np.ndarray, idx: PoolIndices):
-    check_tensor(v, "v")
+    check_4d(v, "v")
     if v.shape != idx.shape:
         raise ShapeError(f"values shape {v.shape} != indices shape {idx.shape}")
     return _scatter_2x2(v, idx), UnpoolTape(idx)

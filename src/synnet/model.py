@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
-from .tensor import RngStream, ShapeError, ParameterError, DTYPES
+from .tensor import RngStream, ShapeError, ParameterError, DTYPES, check_tensor
 from .layers import UsageError
 
 
@@ -191,6 +191,9 @@ class SynNetModel:
         if len(inputs) != t.in_arms:
             raise UsageError(
                 f"{t.kind} expects {t.in_arms} input(s), got {len(inputs)}")
+        # the one finiteness scan of a forward; the layers only check shapes
+        for a, x in enumerate(inputs):
+            check_tensor(x, f"input {a}")
         h, w = inputs[0].shape[2], inputs[0].shape[3]
         if h % (2 ** t.depth) or w % (2 ** t.depth):
             raise ShapeError(

@@ -25,7 +25,7 @@ LOSS_KINDS = ("l2", "weighted_l2", "joint")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Total loss became non-finite during training."""
+    """A prediction or the total loss became non-finite during training."""
 
 
 @dataclass
@@ -131,11 +131,12 @@ def train(model, params, state, dataset, cfg: TrainConfig,
             inputs = [_stack(chunk, 0, k) for k in range(len(chunk[0][0]))]
             targets = [_stack(chunk, 1, k) for k in range(len(chunk[0][1]))]
             preds, trace = model.forward(params, state, inputs, mode="train")
+            where = f"at iteration {opt_state.iteration + 1} (epoch {epoch})"
+            if not all(np.isfinite(p).all() for p in preds):
+                raise TrainingDivergedError(f"non-finite prediction {where}")
             report = _batch_loss(preds, targets, params, cfg)
             if not np.isfinite(report.total):
-                raise TrainingDivergedError(
-                    f"non-finite loss at iteration {opt_state.iteration + 1} "
-                    f"(epoch {epoch})")
+                raise TrainingDivergedError(f"non-finite loss {where}")
             grads = model.backward(params, trace, report.pred_grads)
             for name, g in report.wd_grads.items():
                 grads[name] = grads[name] + (lam4 * g).astype(grads[name].dtype)

@@ -24,10 +24,16 @@ class ParameterError(ValueError):
     """A scalar/config argument violates a precondition."""
 
 
-def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    """Assert x is a finite 4-D array; returns x unchanged."""
+def check_4d(x: np.ndarray, name: str = "tensor") -> np.ndarray:
+    """Assert x is a 4-D array; returns x unchanged."""
     if not isinstance(x, np.ndarray) or x.ndim != 4:
         raise ShapeError(f"{name} must be a 4-D ndarray")
+    return x
+
+
+def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
+    """Assert x is a finite 4-D array; returns x unchanged."""
+    check_4d(x, name)
     if not np.all(np.isfinite(x)):
         raise ParameterError(f"{name} contains non-finite values")
     return x

@@ -64,6 +64,35 @@ def maxpool_oracle(x):
     return pooled, offs
 
 
+def unpool_oracle(values, offsets):
+    """Cell-by-cell scatter of each value to its 2x2 offset, +0.0 elsewhere.
+
+    This is both unpooling and the max-pool input gradient.
+    """
+    n, c, hh, ww = values.shape
+    out = np.zeros((n, c, 2 * hh, 2 * ww), dtype=values.dtype)
+    for bi in range(n):
+        for ci in range(c):
+            for i in range(hh):
+                for j in range(ww):
+                    o = int(offsets[bi, ci, i, j])
+                    out[bi, ci, 2 * i + o // 2, 2 * j + o % 2] = values[bi, ci, i, j]
+    return out
+
+
+def unpool_grad_oracle(grad, offsets):
+    """Cell-by-cell gather of the gradient at each 2x2 block's offset."""
+    n, c, hh, ww = offsets.shape
+    out = np.zeros((n, c, hh, ww), dtype=grad.dtype)
+    for bi in range(n):
+        for ci in range(c):
+            for i in range(hh):
+                for j in range(ww):
+                    o = int(offsets[bi, ci, i, j])
+                    out[bi, ci, i, j] = grad[bi, ci, 2 * i + o // 2, 2 * j + o % 2]
+    return out
+
+
 def ssim_standard_oracle(pred, target, window=11, sigma=1.5):
     """Per-window double-loop three-factor SSIM (valid windows), for images
     in [0, 1]."""

@@ -121,6 +121,31 @@ def test_conv_backward_wide_nonsquare_matches_finite_diff(in_c, out_c):
     assert max_rel_err(gw, num_w) < 1e-7
 
 
+def test_conv_per_offset_chunks_are_bit_equal(monkeypatch):
+    # in_c == out_c puts forward and input gradient on the per-offset path,
+    # which runs its GEMMs over chunks of images sized by layers._L2_BYTES
+    import synnet.layers as layers
+    from synnet.verify import conv_oracle
+    n, c, h, wd = 5, 3, 6, 10
+    rng = RngStream(13)
+    x = rng.uniform((n, c, h, wd), -1, 1, dtype="double")
+    w = rng.uniform((c, c, 3, 3), -1, 1, dtype="double")
+    cot = rng.uniform((n, c, h, wd), -1, 1, dtype="double")
+    per_image = (2 * c + c) * h * (wd + 2) * x.itemsize
+    runs = []
+    for images in (1, 2, n):                   # chunks of 1, of 2 + ragged 1, one chunk
+        monkeypatch.setattr(layers, "_L2_BYTES", images * per_image)
+        y, tape = conv2d_forward(x, w)
+        gx, _, _ = conv2d_backward(tape, cot)
+        runs.append((y, gx))
+    for y, gx in runs[1:]:
+        assert np.array_equal(y, runs[0][0]) and np.array_equal(gx, runs[0][1])
+    zero = np.zeros(c)
+    w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    assert max_rel_err(runs[0][0], conv_oracle(x, w, zero)) < 1e-12
+    assert max_rel_err(runs[0][1], conv_oracle(cot, w_rot, zero)) < 1e-12
+
+
 def test_conv_forward_linearity_in_input():
     rng = RngStream(11)
     x1 = rng.uniform((1, 2, 6, 6), -1, 1, dtype="double")

@@ -155,6 +155,21 @@ def test_train_divergence_guard():
         train(model, params, state, _toy_dataset(), cfg)
 
 
+def test_train_divergence_guard_names_the_iteration():
+    # float32 parameters at +1e100 are inf, so the first prediction is not
+    # finite; train must say so itself, before the loss sees it
+    topo = Topology(kind="siso", depth=1, channels=(4,), final_width=4)
+    model, params, state = build_model(topo, RngStream(0).child("init"), dtype="single")
+    data = [([x.astype(np.float32)], [t.astype(np.float32)]) for [x], [t] in _toy_dataset()]
+    cfg = TrainConfig(batch_size=6, epochs=2, seed=3, loss="l2")
+    with np.errstate(all="ignore"):
+        for name in params:
+            params[name] = params[name] + 1e100
+        assert params[name].dtype == np.float32
+        with pytest.raises(TrainingDivergedError, match=r"iteration 1 \(epoch 0\)"):
+            train(model, params, state, data, cfg)
+
+
 def test_train_rejects_empty_dataset_and_bad_config():
     model, params, state = _toy_model()
     with pytest.raises(ParameterError):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from synnet.layers import conv2d_forward, maxpool2x2_forward
+from synnet.layers import (conv2d_forward, maxpool2x2_forward, maxpool2x2_backward,
+                           unpool2x2_forward, unpool2x2_backward)
 from synnet.loss import SsimConfig, ssim_map
 from synnet.metrics import ssim_standard
 from synnet.tensor import RngStream, ParameterError
 from synnet.verify import (conv_oracle, maxpool_oracle, ssim_standard_oracle,
-                           ssim_map_oracle,
+                           ssim_map_oracle, unpool_oracle, unpool_grad_oracle,
                            finite_diff, max_rel_err, gradcheck_suite,
                            format_report)
 
@@ -26,13 +27,59 @@ def test_conv_oracle_agrees_with_fast_path():
         assert max_rel_err(fast, conv_oracle(x, w, b)) < 1e-12
 
 
-def test_maxpool_oracle_agrees_with_fast_path():
+def _same_bits(a, b):
+    # array_equal calls +0.0 and -0.0 equal; the bit patterns do not
+    return a.dtype == b.dtype and np.array_equal(a.view(f"i{a.itemsize}"),
+                                                 b.view(f"i{b.itemsize}"))
+
+
+def _pool_cases():
+    """Pool inputs: random double, channel-major float32 with ties on every
+    offset, a +0.0/-0.0 tie in every order, and a non-square 6x10."""
     rng = RngStream(2)
-    x = rng.uniform((2, 3, 6, 6), -1, 1, dtype="double")
-    pooled, idx, _ = maxpool2x2_forward(x)
-    opooled, ooffs = maxpool_oracle(x)
-    assert np.array_equal(pooled, opooled)
-    assert np.array_equal(idx.offsets, ooffs)
+    yield rng.uniform((2, 3, 6, 6), -1, 1, dtype="double")
+    # the conv's (c, n, h, w) memory seen as (n, c, h, w); three levels make
+    # two- to four-way ties, so the max falls on every offset
+    levels = np.floor(rng.uniform((4, 3, 8, 8), 0, 3, dtype="single"))
+    yield levels.transpose(1, 0, 2, 3)
+    zeros = np.zeros((1, 4, 2, 2), dtype=np.float32)
+    zeros[0, 0, 0, 0] = -0.0                  # -0.0 first, then +0.0
+    zeros[0, 1, 0, 1] = -0.0                  # +0.0 first, then -0.0
+    zeros[0, 2] = -0.0                        # all -0.0
+    zeros[0, 3] = -1.0
+    zeros[0, 3, 1, 0] = -0.0                  # a lone -0.0 above negatives
+    yield zeros
+    yield np.round(rng.uniform((2, 2, 6, 10), -2, 2, dtype="double"))
+
+
+def test_maxpool_oracle_agrees_with_fast_path():
+    offsets_seen = set()
+    for x in _pool_cases():
+        pooled, idx, _ = maxpool2x2_forward(x)
+        opooled, ooffs = maxpool_oracle(x)
+        assert _same_bits(pooled, opooled)
+        assert np.array_equal(idx.offsets, ooffs)
+        offsets_seen.update(np.unique(ooffs).tolist())
+    assert offsets_seen == {0, 1, 2, 3}
+
+
+def test_unpool_and_pool_gradient_agree_with_oracles():
+    # the scatter serves unpool forward and the pool gradient, the gather
+    # the unpool gradient; non-argmax cells must hold +0.0, not -0.0
+    rng = RngStream(7)
+    for x in _pool_cases():
+        _, idx, pool_tape = maxpool2x2_forward(x)
+        n, c, hh, ww = idx.shape
+        values = rng.uniform((n, c, hh, ww), -1, 1, dtype="double").astype(x.dtype)
+        values.flat[::3] = -0.0
+        grad = rng.uniform((n, c, 2 * hh, 2 * ww), -1, 1, dtype="double").astype(x.dtype)
+        grad.flat[::5] = -0.0
+        up, unpool_tape = unpool2x2_forward(values, idx)
+        assert _same_bits(up, unpool_oracle(values, idx.offsets))
+        assert _same_bits(maxpool2x2_backward(pool_tape, values),
+                          unpool_oracle(values, idx.offsets))
+        assert _same_bits(unpool2x2_backward(unpool_tape, grad),
+                          unpool_grad_oracle(grad, idx.offsets))
 
 
 def test_maxpool_oracle_tie_break():
