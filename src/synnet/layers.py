@@ -4,6 +4,8 @@ Conventions fixed here (the network blocks are assembled in `model`):
   - convolution is cross-correlation (no kernel flip), "same" zero padding;
     when in_c >= out_c its per-offset GEMMs run over chunks of images that
     fit in one core's L2 (see the convolution section);
+  - batchnorm has one mode, by the batch statistics; at inference
+    `batchnorm_fold` folds the running statistics into the conv before it;
   - max pooling is non-overlapping 2x2 / stride 2 with first-occurrence
     tie-break in row-major window order.  It works on the four strided
     corners x[:, :, u::2, v::2], offset 2u+v: the pooled value is the
@@ -27,10 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import ShapeError, ParameterError, check_4d
-
-
-class UsageError(RuntimeError):
-    """A tape was used with the wrong call or in the wrong mode."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,55 +161,51 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray):
 # batch normalization
 # ---------------------------------------------------------------------------
 
+BN_EPS = 1e-5   # added to the variance by batchnorm and by its fold
+
+
 @dataclass
 class BatchNormTape:
-    x_hat: np.ndarray | None
-    inv_std: np.ndarray | None   # per channel
+    x_hat: np.ndarray
+    inv_std: np.ndarray      # per channel
     gamma: np.ndarray
-    train: bool
 
 
 def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
     return v.astype(dtype, copy=False)[None, :, None, None]
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps=1e-5,
-                      stat_momentum=0.9, mode="train"):
-    """Per-channel batch normalization.
-
-    Train mode normalizes by the batch mean / biased variance over (n,h,w)
-    and returns updated running statistics; infer mode uses the running
-    statistics and produces an empty tape.
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, stat_momentum=0.9):
+    """Per-channel batch normalization by the batch mean / biased variance over
+    (n,h,w); inference uses `batchnorm_fold` instead.
     Returns (y, tape, new_running_mean, new_running_var).
     """
     check_4d(x, "x")
-    c = x.shape[1]
+    n, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},)")
-    if mode == "train":
-        n, _, h, w = x.shape
-        if n * h * w == 1:
-            raise ParameterError("batchnorm train mode needs more than one value per channel")
-        mean = x.mean(axis=(0, 2, 3))
-        # centre once; the centred values become x_hat in place
-        x_hat = np.subtract(x, mean[None, :, None, None])
-        var = np.square(x_hat).mean(axis=(0, 2, 3))          # biased
-        inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat *= inv_std[None, :, None, None]
-        y = np.multiply(x_hat, _per_channel(gamma, x.dtype))
-        y += _per_channel(beta, x.dtype)
-        new_mean = stat_momentum * running_mean + (1.0 - stat_momentum) * mean
-        new_var = stat_momentum * running_var + (1.0 - stat_momentum) * var
-        tape = BatchNormTape(x_hat, inv_std, gamma, True)
-        return (y, tape, new_mean.astype(running_mean.dtype),
-                new_var.astype(running_var.dtype))
-    elif mode == "infer":
-        inv_std = 1.0 / np.sqrt(running_var + eps)
-        x_hat = (x - running_mean[None, :, None, None]) * inv_std[None, :, None, None]
-        y = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
-        return (y.astype(x.dtype, copy=False), BatchNormTape(None, None, gamma, False),
-                running_mean, running_var)
-    raise ParameterError(f"unknown batchnorm mode {mode!r}")
+    if n * h * w == 1:
+        raise ParameterError("batchnorm needs more than one value per channel")
+    mean = x.mean(axis=(0, 2, 3))
+    # centre once; the centred values become x_hat in place
+    x_hat = np.subtract(x, mean[None, :, None, None])
+    var = np.square(x_hat).mean(axis=(0, 2, 3))          # biased
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    x_hat *= inv_std[None, :, None, None]
+    y = np.multiply(x_hat, _per_channel(gamma, x.dtype))
+    y += _per_channel(beta, x.dtype)
+    new_mean = stat_momentum * running_mean + (1.0 - stat_momentum) * mean
+    new_var = stat_momentum * running_var + (1.0 - stat_momentum) * var
+    return (y, BatchNormTape(x_hat, inv_std, gamma), new_mean.astype(running_mean.dtype),
+            new_var.astype(running_var.dtype))
+
+
+def batchnorm_fold(w, gamma, beta, running_mean, running_var):
+    """(w * s, beta - running_mean * s), s = gamma / sqrt(running_var + BN_EPS):
+    the weights and bias of one conv that does a bias-free conv with w, then
+    batchnorm by the running statistics (Jacob et al., CVPR 2018, 3.2)."""
+    s = gamma / np.sqrt(running_var + BN_EPS)
+    return w * s[:, None, None, None], beta - running_mean * s
 
 
 def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
@@ -221,8 +215,6 @@ def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
     and sum(g * x_hat) = gamma * grad_gamma, so
     grad_in = gamma * inv_std * (grad_out - grad_beta/m - x_hat * grad_gamma/m).
     """
-    if not tape.train:
-        raise UsageError("batchnorm_backward requires a train-mode tape")
     x_hat, inv_std, gamma = tape.x_hat, tape.inv_std, tape.gamma
     if grad_out.shape != x_hat.shape:
         raise ShapeError("grad_out shape mismatch with batchnorm tape")

@@ -1,8 +1,10 @@
 """SynNet graph assembly: encoder arms, decoder arms, synthesis heads.
 
-Encoder block:  conv3x3 -> batchnorm -> ReLU -> maxpool2x2 (indices kept).
-Decoder block:  unpool (matched encoder indices) -> concat matched encoder
-                pre-pool feature maps -> conv3x3 -> batchnorm -> ReLU.
+Block:          conv3x3 -> batchnorm -> ReLU (`_block`); at inference
+                batchnorm is folded into the conv (`layers.batchnorm_fold`).
+Encoder stage:  block -> maxpool2x2 (indices kept).
+Decoder stage:  unpool (matched encoder indices) -> concat matched encoder
+                pre-pool feature maps -> block.
 Synthesis head: conv1x1 with bias, linear output.
 
 Block convs have no bias: batchnorm subtracts the per-channel mean, so a
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
-from .tensor import RngStream, ShapeError, ParameterError, DTYPES, check_tensor
-from .layers import UsageError
+from .tensor import RngStream, ShapeError, ParameterError, UsageError, DTYPES, check_tensor
 
 
 TOPOLOGY_KINDS = ("siso", "miso", "mimo")
@@ -84,10 +85,10 @@ class Topology:
 
 @dataclass
 class ForwardTrace:
-    """Tapes and intermediates for one train-mode forward; consumed once."""
-    enc_tapes: list          # [arm][level] -> (conv, bn, relu, pool) tapes
+    """Tapes of one train-mode forward; `backward` pops them, so it is used once."""
+    enc_tapes: list          # [arm][level] -> (block tapes, pool tape)
     fuse_tapes: list         # per decoder arm (or [None] for siso)
-    dec_tapes: list          # [arm][k] -> (unpool, split, conv, bn, relu)
+    dec_tapes: list          # [arm][k] -> (unpool tape, split, block tapes)
     head_tapes: list
     consumed: bool = False
 
@@ -169,25 +170,17 @@ class SynNetModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _bn(self, params, state, prefix, x, mode):
-        y, tape, rm, rv = layers.batchnorm_forward(
-            x, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
-            state[f"{prefix}.bn.running_mean"], state[f"{prefix}.bn.running_var"],
-            mode=mode)
-        if mode == "train":
-            state[f"{prefix}.bn.running_mean"] = rm
-            state[f"{prefix}.bn.running_var"] = rv
-        return y, tape
-
     def forward(self, params, state, inputs, mode="train"):
         """Whole-graph forward. Returns (predictions, trace).
 
         `inputs` is a list of (n, in_channels, h, w) tensors, one per arm.
         Train mode updates batchnorm running statistics in `state` and
-        returns a trace for `backward`; infer mode keeps no tapes
-        (trace is None).
+        returns a trace for `backward`; infer mode folds batchnorm into the
+        block convs and keeps no tapes (trace is None).
         """
         t = self.topology
+        if mode not in ("train", "infer"):
+            raise ParameterError(f"unknown mode {mode!r}")
         if len(inputs) != t.in_arms:
             raise UsageError(
                 f"{t.kind} expects {t.in_arms} input(s), got {len(inputs)}")
@@ -205,14 +198,11 @@ class SynNetModel:
             x = inputs[a]
             arm_tapes, arm_skips, arm_idx = [], [], []
             for i in range(t.depth):
-                prefix = f"enc.arm{a}.block{i}"
-                x, ct = layers.conv2d_forward(x, params[f"{prefix}.conv.weight"])
-                x, bt = self._bn(params, state, prefix, x, mode)
-                x, rt = layers.relu_forward(x)
+                x, bt = _block(params, state, f"enc.arm{a}.block{i}", x, mode)
                 arm_skips.append(x)
                 x, idx, pt = layers.maxpool2x2_forward(x)
                 arm_idx.append(idx)
-                arm_tapes.append((ct, bt, rt, pt) if keep else None)
+                arm_tapes.append((bt, pt) if keep else None)
             enc_tapes.append(arm_tapes)
             skips.append(arm_skips)
             idxs.append(arm_idx)
@@ -232,16 +222,13 @@ class SynNetModel:
             arm_dec = []
             iarm = t.index_arm(d)
             for i in reversed(range(t.depth)):
-                prev_c = x.shape[1]
                 x, ut = layers.unpool2x2_forward(x, idxs[iarm][i])
                 parts = [x] + [skips[a][i] for a in t.skip_arms(d)]
                 split = [p.shape[1] for p in parts]
-                x = np.concatenate(parts, axis=1)
-                prefix = f"dec.arm{d}.block{i}"
-                x, ct = layers.conv2d_forward(x, params[f"{prefix}.conv.weight"])
-                x, bt = self._bn(params, state, prefix, x, mode)
-                x, rt = layers.relu_forward(x)
-                arm_dec.append((ut, split, ct, bt, rt) if keep else None)
+                # passed without a name, so the concat is freed once padded
+                x, bt = _block(params, state, f"dec.arm{d}.block{i}",
+                               np.concatenate(parts, axis=1), mode)
+                arm_dec.append((ut, split, bt) if keep else None)
             dec_tapes.append(arm_dec)
 
             y, ht = layers.conv2d_forward(
@@ -276,32 +263,28 @@ class SynNetModel:
         def acc(store, key, g):
             store[key] = g if store[key] is None else store[key] + g
 
+        # popping each tape frees it as the backward goes; this makes up for the
+        # gradient that this frame keeps alive through a `_block_backward` call
         for d in range(t.out_arms):
-            g, gw, gb = layers.conv2d_backward(trace.head_tapes[d], grad_preds[d])
+            g, gw, gb = layers.conv2d_backward(trace.head_tapes.pop(0), grad_preds[d])
             add(f"head.arm{d}.conv.weight", gw)
             add(f"head.arm{d}.conv.bias", gb)
 
-            iarm = t.index_arm(d)
-            for k, i in enumerate(range(t.depth)):  # reverse of forward order
-                ut, split, ct, bt, rt = trace.dec_tapes[d][t.depth - 1 - i]
-                prefix = f"dec.arm{d}.block{i}"
-                g = layers.relu_backward(rt, g)
-                g, gg, gbeta = layers.batchnorm_backward(bt, g)
-                add(f"{prefix}.bn.gamma", gg)
-                add(f"{prefix}.bn.beta", gbeta)
-                g, gw, _ = layers.conv2d_backward(ct, g)
-                add(f"{prefix}.conv.weight", gw)
+            for i in range(t.depth):  # reverse of forward order
+                ut, split, bt = trace.dec_tapes[d].pop()
+                g = _block_backward(bt, g, add, f"dec.arm{d}.block{i}")
                 # split concat gradient: unpooled path first, then skip maps
                 pieces = np.split(g, np.cumsum(split)[:-1], axis=1)
                 for a, piece in zip(t.skip_arms(d), pieces[1:]):
                     acc(skip_grads[a], i, piece)
                 g = layers.unpool2x2_backward(ut, pieces[0])
 
+            fuse_tape = trace.fuse_tapes.pop(0)
             if t.kind == "siso":
                 acc(bott_grads, 0, g)
             else:
                 name = "fuse" if t.kind == "miso" else f"fuse.arm{d}"
-                g, gw, gb = layers.conv2d_backward(trace.fuse_tapes[d], g)
+                g, gw, gb = layers.conv2d_backward(fuse_tape, g)
                 add(f"{name}.conv.weight", gw)
                 add(f"{name}.conv.bias", gb)
                 cb = t.channels[-1]
@@ -311,19 +294,43 @@ class SynNetModel:
         for a in range(t.in_arms):
             g = bott_grads[a]
             for i in reversed(range(t.depth)):
-                ct, bt, rt, pt = trace.enc_tapes[a][i]
-                prefix = f"enc.arm{a}.block{i}"
+                bt, pt = trace.enc_tapes[a].pop()
                 g = layers.maxpool2x2_backward(pt, g)
                 if skip_grads[a][i] is not None:
                     g = g + skip_grads[a][i]
-                g = layers.relu_backward(rt, g)
-                g, gg, gbeta = layers.batchnorm_backward(bt, g)
-                add(f"{prefix}.bn.gamma", gg)
-                add(f"{prefix}.bn.beta", gbeta)
-                g, gw, _ = layers.conv2d_backward(ct, g)
-                add(f"{prefix}.conv.weight", gw)
+                g = _block_backward(bt, g, add, f"enc.arm{a}.block{i}")
 
         return grads
+
+
+def _block(params, state, prefix, x, mode):
+    """conv3x3 -> batchnorm -> ReLU; returns (y, (conv, bn, relu) tapes). Train
+    mode also updates the running statistics in `state`; infer mode runs one
+    conv with batchnorm folded in and returns tapes None."""
+    w = params[f"{prefix}.conv.weight"]
+    gamma, beta = params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]
+    mean, var = f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
+    if mode == "infer":
+        x, _ = layers.conv2d_forward(
+            x, *layers.batchnorm_fold(w, gamma, beta, state[mean], state[var]))
+        return np.maximum(x, 0, out=x), None
+    x, ct = layers.conv2d_forward(x, w)
+    x, bt, state[mean], state[var] = layers.batchnorm_forward(
+        x, gamma, beta, state[mean], state[var])
+    x, rt = layers.relu_forward(x)
+    return x, (ct, bt, rt)
+
+
+def _block_backward(tapes, g, add, prefix):
+    """Backward of `_block`; adds the parameter gradients, returns the input's."""
+    ct, bt, rt = tapes
+    g = layers.relu_backward(rt, g)
+    g, grad_gamma, grad_beta = layers.batchnorm_backward(bt, g)
+    add(f"{prefix}.bn.gamma", grad_gamma)
+    add(f"{prefix}.bn.beta", grad_beta)
+    g, grad_w, _ = layers.conv2d_backward(ct, g)
+    add(f"{prefix}.conv.weight", grad_w)
+    return g
 
 
 def build_model(topology: Topology, rng: RngStream, dtype: str = "single"):

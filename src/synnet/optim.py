@@ -18,8 +18,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from .loss import LossWeights, SsimConfig
-from .tensor import RngStream, ParameterError
-from .layers import UsageError
+from .tensor import RngStream, ParameterError, UsageError
 
 LOSS_KINDS = ("l2", "weighted_l2", "joint")
 
@@ -35,6 +34,12 @@ class OptimState:
     epoch: int = 0
     lr: float = 0.01
     momentum: float = 0.9
+
+    def __post_init__(self):
+        if not self.lr > 0:
+            raise ParameterError(f"lr must be > 0, got {self.lr!r}")
+        if not 0 <= self.momentum < 1:
+            raise ParameterError(f"momentum must be in [0, 1), got {self.momentum!r}")
 
 
 @dataclass

@@ -140,6 +140,11 @@ def parse_config(text: str) -> RunConfig:
                               f"{', '.join(_CHOICES[key])}, got {value!r}")
         if key == "train_frac" and not 0 < parsed <= 1:
             raise ConfigError(f"line {lineno}: train_frac must be in (0, 1], got {value!r}")
+        if key in ("lr", "momentum"):
+            try:
+                OptimState(**{key: parsed})
+            except ParameterError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         setattr(cfg, key, parsed)
     return cfg
 

@@ -24,6 +24,10 @@ class ParameterError(ValueError):
     """A scalar/config argument violates a precondition."""
 
 
+class UsageError(RuntimeError):
+    """An API was called in the wrong order or with the wrong arguments."""
+
+
 def check_4d(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     """Assert x is a 4-D array; returns x unchanged."""
     if not isinstance(x, np.ndarray) or x.ndim != 4:

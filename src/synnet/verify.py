@@ -182,6 +182,21 @@ def max_rel_err(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(1e-12, np.abs(a) + np.abs(b))))
 
 
+def model_gradcheck(model, params, state, inputs, cots, h_step: float = 1e-5):
+    """Max relative error, per parameter, of the train-mode backward against
+    central finite differences of sum(prediction * cotangent) over the
+    output arms. `state` is copied for every forward, so it is not updated."""
+    def probe(trial):
+        preds, _ = model.forward(trial, dict(state), inputs, mode="train")
+        return sum(float((p * c).sum()) for p, c in zip(preds, cots))
+
+    _, trace = model.forward(params, dict(state), inputs, mode="train")
+    grads = model.backward(params, trace, cots)
+    return {name: max_rel_err(grads[name], finite_diff(
+                lambda v: probe({**params, name: v}), value.copy(), h_step))
+            for name, value in params.items()}
+
+
 # ---------------------------------------------------------------------------
 # the gradient-check suite
 # ---------------------------------------------------------------------------
@@ -246,7 +261,7 @@ def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
     check("conv1x1/input", gx1,
           finite_diff(lambda v: float((layers.conv2d_forward(v, w1, b1)[0] * cot1).sum()), x.copy(), h_step), 1e-6)
 
-    # batchnorm (train mode)
+    # batchnorm
     xb = _u(rng, (3, 2, 5, 5))
     gamma = _u(rng, (2,), 0.5, 1.5)
     beta = _u(rng, (2,), -0.5, 0.5)
@@ -254,10 +269,10 @@ def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
     cotb = _u(rng, (3, 2, 5, 5))
 
     def bn_probe(xv, gv, bv):
-        yv, _, _, _ = layers.batchnorm_forward(xv, gv, bv, rm, rv, mode="train")
+        yv, _, _, _ = layers.batchnorm_forward(xv, gv, bv, rm, rv)
         return float((yv * cotb).sum())
 
-    yb, tb, _, _ = layers.batchnorm_forward(xb, gamma, beta, rm, rv, mode="train")
+    yb, tb, _, _ = layers.batchnorm_forward(xb, gamma, beta, rm, rv)
     gxb, gg, gbeta = layers.batchnorm_backward(tb, cotb)
     check("batchnorm/input", gxb,
           finite_diff(lambda v: bn_probe(v, gamma, beta), xb.copy(), h_step), 1e-6)
@@ -317,23 +332,8 @@ def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
     params, state = model.init_params(rng.child("tinymodel"), dtype="double")
     xin = _u(rng, (2, 1, 8, 8), 0.0, 1.0)
     cotm = _u(rng, (2, 1, 8, 8))
-
-    def model_probe(p):
-        preds, _ = model.forward(p, dict(state), [xin], mode="train")
-        return float((preds[0] * cotm).sum())
-
-    preds, trace = model.forward(params, dict(state), [xin], mode="train")
-    grads = model.backward(params, trace, [cotm])
-    for name in params:
-        orig = params[name]
-
-        def probe(v, _name=name):
-            trial = dict(params)
-            trial[_name] = v
-            return model_probe(trial)
-
-        check(f"model/{name}", grads[name],
-              finite_diff(probe, orig.copy(), h_step), 1e-5)
+    for name, err in model_gradcheck(model, params, state, [xin], [cotm], h_step).items():
+        results.append(CheckResult(f"model/{name}", err, 1e-5))
     return results
 
 

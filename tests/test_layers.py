@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from synnet.layers import (UsageError, conv2d_forward, conv2d_backward,
-                           batchnorm_forward, batchnorm_backward,
+from synnet.layers import (BN_EPS, conv2d_forward, conv2d_backward,
+                           batchnorm_forward, batchnorm_backward, batchnorm_fold,
                            relu_forward, relu_backward,
                            maxpool2x2_forward, maxpool2x2_backward,
                            unpool2x2_forward, unpool2x2_backward)
@@ -165,7 +165,7 @@ def test_conv_forward_linearity_in_input():
 def test_batchnorm_two_value_channel():
     x = np.array([1.0, 3.0]).reshape(1, 1, 1, 2)
     y, _, _, _ = batchnorm_forward(x, np.ones(1), np.zeros(1),
-                                   np.zeros(1), np.ones(1), mode="train")
+                                   np.zeros(1), np.ones(1))
     assert np.allclose(y[0, 0, 0], [-1.0, 1.0], atol=1e-5)
 
 
@@ -173,7 +173,7 @@ def test_batchnorm_constant_channel_maps_to_beta():
     x = np.full((1, 1, 2, 2), 7.0)
     beta = np.array([0.25])
     y, _, _, _ = batchnorm_forward(x, np.ones(1), beta,
-                                   np.zeros(1), np.ones(1), mode="train")
+                                   np.zeros(1), np.ones(1))
     assert np.allclose(y, 0.25, atol=1e-12)
 
 
@@ -181,7 +181,7 @@ def test_batchnorm_output_moments():
     rng = RngStream(3)
     x = rng.uniform((4, 3, 8, 8), -2, 5, dtype="double")
     y, _, _, _ = batchnorm_forward(x, np.ones(3), np.zeros(3),
-                                   np.zeros(3), np.ones(3), mode="train")
+                                   np.zeros(3), np.ones(3))
     mean = y.mean(axis=(0, 2, 3))
     var = y.var(axis=(0, 2, 3))
     assert np.allclose(mean, 0, atol=1e-12)
@@ -193,27 +193,38 @@ def test_batchnorm_running_stats_update():
     x = rng.uniform((2, 1, 4, 4), 0, 1, dtype="double")
     rm, rv = np.array([0.5]), np.array([2.0])
     _, _, nrm, nrv = batchnorm_forward(x, np.ones(1), np.zeros(1), rm, rv,
-                                       stat_momentum=0.9, mode="train")
+                                       stat_momentum=0.9)
     assert nrm[0] == pytest.approx(0.9 * 0.5 + 0.1 * x.mean())
     assert nrv[0] == pytest.approx(0.9 * 2.0 + 0.1 * x.var())
     # inputs untouched (functional update)
     assert rm[0] == 0.5 and rv[0] == 2.0
 
 
-def test_batchnorm_infer_uses_running_stats():
-    x = np.full((1, 1, 2, 2), 3.0)
-    rm, rv = np.array([1.0]), np.array([4.0])
-    y, tape, _, _ = batchnorm_forward(x, np.full(1, 2.0), np.full(1, 0.5),
-                                      rm, rv, eps=0.0, mode="infer")
-    assert np.allclose(y, 2.0 * (3.0 - 1.0) / 2.0 + 0.5)
-    with pytest.raises(UsageError):
-        batchnorm_backward(tape, np.zeros_like(x))
+@pytest.mark.parametrize("in_c, out_c", [(2, 5), (6, 3)], ids=["stacked", "per-offset"])
+def test_batchnorm_fold_matches_conv_then_running_stats(in_c, out_c):
+    # in_c < out_c and in_c >= out_c take the two correlation paths
+    rng = RngStream(31)
+    x = rng.uniform((3, in_c, 6, 7), -1, 1, dtype="double")
+    w = rng.uniform((out_c, in_c, 3, 3), -1, 1, dtype="double")
+    gamma = rng.uniform((out_c,), 0.5, 1.5, dtype="double")
+    beta = rng.uniform((out_c,), -0.5, 0.5, dtype="double")
+    mean = rng.uniform((out_c,), -0.5, 0.5, dtype="double")
+    var = rng.uniform((out_c,), 0.2, 3.0, dtype="double")
+    y, _ = conv2d_forward(x, w)
+
+    def per_channel(v):
+        return v[None, :, None, None]
+
+    expect = (y - per_channel(mean)) * per_channel(gamma / np.sqrt(var + BN_EPS)) \
+        + per_channel(beta)
+    folded, _ = conv2d_forward(x, *batchnorm_fold(w, gamma, beta, mean, var))
+    assert np.max(np.abs(folded - expect)) <= 1e-12
 
 
 def test_batchnorm_train_rejects_single_value_channel():
     with pytest.raises(ParameterError):
         batchnorm_forward(np.ones((1, 3, 1, 1)), np.ones(3), np.zeros(3),
-                          np.zeros(3), np.ones(3), mode="train")
+                          np.zeros(3), np.ones(3))
 
 
 def test_batchnorm_backward_grad_sums_to_zero():
@@ -223,7 +234,7 @@ def test_batchnorm_backward_grad_sums_to_zero():
     x = rng.uniform((3, 2, 4, 4), -1, 1, dtype="double")
     g = rng.uniform((3, 2, 4, 4), -1, 1, dtype="double")
     _, tape, _, _ = batchnorm_forward(x, np.array([1.5, 0.5]), np.zeros(2),
-                                      np.zeros(2), np.ones(2), mode="train")
+                                      np.zeros(2), np.ones(2))
     gx, _, gbeta = batchnorm_backward(tape, g)
     assert np.allclose(gx.sum(axis=(0, 2, 3)), 0, atol=1e-12)
     assert np.allclose(gbeta, g.sum(axis=(0, 2, 3)))

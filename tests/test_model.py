@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from synnet.layers import UsageError
+from synnet import layers
 from synnet.model import Topology, SynNetModel, build_model
-from synnet.tensor import RngStream, ShapeError, ParameterError
-from synnet.verify import finite_diff, max_rel_err
+from synnet.tensor import RngStream, ShapeError, ParameterError, UsageError
+from synnet.verify import model_gradcheck
 
 
 def _tiny(kind, **kw):
@@ -86,6 +86,8 @@ def test_forward_rejects_bad_arm_count_and_size():
         model.forward(params, state, [x, x])
     with pytest.raises(ShapeError):
         model.forward(params, state, [np.zeros((1, 1, 6, 8))])
+    with pytest.raises(ParameterError):
+        model.forward(params, state, [x], mode="eval")
 
 
 def test_zero_weights_predict_head_bias():
@@ -109,6 +111,24 @@ def test_infer_mode_is_batch_independent():
     solo, _ = model.forward(params, state, [a], mode="infer")
     both, _ = model.forward(params, state, [np.concatenate([a, b])], mode="infer")
     assert np.array_equal(solo[0], both[0][:1])
+
+
+@pytest.mark.parametrize("kind", ["siso", "miso", "mimo"])
+def test_infer_mode_folds_batchnorm_into_the_conv(kind, monkeypatch):
+    topo = _tiny(kind)
+    model, params, state = build_model(topo, RngStream(17), dtype="double")
+    rng = RngStream(18)
+    inputs = [rng.uniform((2, 1, 8, 8), 0, 1, dtype="double")
+              for _ in range(topo.in_arms)]
+
+    def no_batchnorm(*args, **kwargs):
+        raise AssertionError("batchnorm_forward called")
+
+    monkeypatch.setattr(layers, "batchnorm_forward", no_batchnorm)
+    preds, trace = model.forward(params, state, inputs, mode="infer")
+    assert trace is None and len(preds) == topo.out_arms
+    with pytest.raises(AssertionError, match="batchnorm_forward called"):
+        model.forward(params, state, inputs, mode="train")
 
 
 def test_infer_mode_leaves_state_untouched():
@@ -194,13 +214,5 @@ def test_backward_matches_finite_differences_at_depth_2(kind, extra):
     inputs = [rng.uniform((2, 1, 8, 8), 0, 1, dtype="double") for _ in range(2)]
     cots = [rng.uniform((2, 1, 8, 8), -1, 1, dtype="double")
             for _ in range(topo.out_arms)]
-
-    def probe(trial):
-        preds, _ = model.forward(trial, dict(state), inputs, mode="train")
-        return sum(float((p * c).sum()) for p, c in zip(preds, cots))
-
-    _, trace = model.forward(params, dict(state), inputs, mode="train")
-    grads = model.backward(params, trace, cots)
-    for name, value in params.items():
-        numeric = finite_diff(lambda v: probe({**params, name: v}), value.copy())
-        assert max_rel_err(grads[name], numeric) <= 1e-5, name
+    for name, err in model_gradcheck(model, params, state, inputs, cots).items():
+        assert err <= 1e-5, name

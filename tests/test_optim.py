@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from synnet.layers import UsageError
 from synnet.model import Topology, build_model
 from synnet.optim import (OptimState, TrainConfig, TrainingDivergedError,
                           sgd_step, train)
 from synnet.loss import LossWeights, SsimConfig
-from synnet.tensor import RngStream, ParameterError
+from synnet.tensor import RngStream, ParameterError, UsageError
 
 
 def test_sgd_two_steps_hand_computed():

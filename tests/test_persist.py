@@ -64,7 +64,11 @@ def test_parse_config_errors_carry_line_numbers():
     ("ssim_mode = fast", "ssim_mode must be one of local, global"),
     ("train_frac = 0", r"train_frac must be in \(0, 1\]"),
     ("train_frac = 1.5", r"train_frac must be in \(0, 1\]"),
-], ids=["dtype", "loss", "topology", "ssim_mode", "train_frac-0", "train_frac-1.5"])
+    ("lr = -1", "lr must be > 0"),
+    ("lr = 0", "lr must be > 0"),
+    ("momentum = 1", r"momentum must be in \[0, 1\)"),
+], ids=["dtype", "loss", "topology", "ssim_mode", "train_frac-0", "train_frac-1.5",
+        "lr-negative", "lr-0", "momentum-1"])
 def test_parse_config_rejects_values_outside_allowed_set(line, message):
     with pytest.raises(ConfigError, match=f"line 2: {message}"):
         parse_config(f"lr = 0.1\n{line}\n")
