@@ -19,7 +19,18 @@ Conventions fixed here (the network blocks are assembled in `model`):
 Layers check shapes but do not scan for non-finite values: the model
 checks its inputs once, and training checks its predictions.
 
-Every forward returns a tape carrying exactly what its backward needs.
+Every forward returns a tape carrying exactly what its backward needs.  A
+1x1 conv's tape references its input rather than a copy, so that input
+must not change until the backward has run.
+
+Buffers handed in (`out=`, `padded=`) are written or kept as they are.  A
+conv takes `padded=flat` from `zero_padded`, the zero-padded flat buffer
+whose interior is its input, and keeps it as its tape's `x_flat` (forward)
+or correlates it as the padded grad_out (backward) instead of padding a
+copy; the producer of that input writes straight into the interior.
+`out=` writes a result into the given array.  The model hands over only
+buffers that nothing reads afterwards.  Either way every float op runs in
+the same order as without the buffer, so results are bit-equal.
 """
 
 from __future__ import annotations
@@ -56,7 +67,8 @@ _L2_BYTES = 2 << 20     # 2 MiB, one core's private L2 on the benchmark host
 
 @dataclass
 class ConvTape:
-    x_flat: np.ndarray     # zero-padded input, rows flattened: (n, in_c, (h+2p)*(w+2p))
+    x_flat: np.ndarray     # zero-padded input, rows flattened: (n, in_c, (h+2p)*(w+2p));
+                           # for 1x1 a view of the input itself
     weights: np.ndarray
     in_shape: tuple
     has_bias: bool
@@ -73,9 +85,47 @@ def _check_conv_params(w: np.ndarray, b: np.ndarray | None):
     return out_c, in_c, kh
 
 
+def _interior(flat: np.ndarray, h: int, w: int, p: int) -> np.ndarray:
+    """The (n, c, h, w) view of a padded flat buffer without its border."""
+    n, c, _ = flat.shape
+    return flat.reshape(n, c, h + 2 * p, w + 2 * p)[:, :, p:p + h, p:p + w]
+
+
+def zero_padded(shape: tuple, k: int, dtype):
+    """A zero-filled flat buffer for a k x k conv's input of `shape`, padded by
+    k // 2 on each side, and its interior view of `shape`.
+
+    Write the conv input into the interior, then pass the flat buffer as
+    `padded=` to `conv2d_forward` or `conv2d_backward`.
+    """
+    n, c, h, w = shape
+    p = k // 2
+    flat = np.zeros((n, c, (h + 2 * p) * (w + 2 * p)), dtype=dtype)
+    return flat, _interior(flat, h, w, p)
+
+
 def _pad_flat(x: np.ndarray, p: int) -> np.ndarray:
     n, c, h, w = x.shape
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))).reshape(n, c, -1)
+    if p == 0:
+        return x.reshape(n, c, -1)   # a view when each image's rows are contiguous
+    flat, inner = zero_padded(x.shape, 2 * p + 1, x.dtype)
+    inner[...] = x
+    return flat
+
+
+def _padded_input(x: np.ndarray, p: int, padded: np.ndarray | None) -> np.ndarray:
+    """`padded` once checked to be x's zero-padded flat buffer, or a new one."""
+    if padded is None:
+        return _pad_flat(x, p)
+    n, c, h, w = x.shape
+    if padded.shape != (n, c, (h + 2 * p) * (w + 2 * p)) or padded.dtype != x.dtype:
+        raise ShapeError(f"padded buffer {padded.shape} {padded.dtype} does not fit "
+                         f"{x.shape} {x.dtype} padded by {p}")
+    inner = _interior(padded, h, w, p)
+    if inner.strides != x.strides or \
+            inner.__array_interface__["data"][0] != x.__array_interface__["data"][0]:
+        raise ShapeError("the padded buffer's interior is not the array it pads")
+    return padded
 
 
 def _shifted(flat: np.ndarray, k: int, wp: int, span: int):
@@ -115,14 +165,19 @@ def _correlate(flat: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
     return y.reshape(n, out_c, h, wp)[..., :wd]
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
-    """Same-padded cross-correlation plus an optional per-output-channel bias."""
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+                   padded: np.ndarray | None = None):
+    """Same-padded cross-correlation plus an optional per-output-channel bias.
+
+    `padded` is x's buffer from `zero_padded` (x its interior), kept as the
+    tape's `x_flat` instead of a padded copy.
+    """
     check_4d(x, "x")
     out_c, in_c, k = _check_conv_params(w, b)
     n, c, h, wd = x.shape
     if c != in_c:
         raise ShapeError(f"input has {c} channels, kernel expects {in_c}")
-    flat = _pad_flat(x, k // 2)
+    flat = _padded_input(x, k // 2, padded)
     # channel-major memory, (out_c, n, h, w): batchnorm reduces per channel
     y = np.empty((out_c, n, h, wd), dtype=x.dtype).transpose(1, 0, 2, 3)
     corr = _correlate(flat, w.astype(x.dtype, copy=False), h, wd)
@@ -133,8 +188,12 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None):
     return y, ConvTape(flat, w, x.shape, b is not None)
 
 
-def conv2d_backward(tape: ConvTape, grad_out: np.ndarray):
-    """Gradients w.r.t. input, weights and bias (None if the forward had none)."""
+def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | None = None):
+    """Gradients w.r.t. input, weights and bias (None if the forward had none).
+
+    `padded` is grad_out's buffer from `zero_padded` (grad_out its interior),
+    used instead of a padded copy.
+    """
     w = tape.weights
     out_c, in_c, k, _ = w.shape
     n, c, h, wd = tape.in_shape
@@ -145,7 +204,7 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray):
     p, wp = k // 2, wd + k - 1
     span = h * wp - (k - 1)
     # grad_out padded like the input: row width wp, zeros in the junk columns
-    gflat = _pad_flat(grad_out, p)
+    gflat = _padded_input(grad_out, p, padded)
     g = gflat[:, :, p * wp + p:p * wp + p + span]
     grad_w = np.stack([np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
                        for view in _shifted(tape.x_flat, k, wp, span)], axis=-1)
@@ -189,10 +248,12 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, stat_momentum=0
     mean = x.mean(axis=(0, 2, 3))
     # centre once; the centred values become x_hat in place
     x_hat = np.subtract(x, mean[None, :, None, None])
-    var = np.square(x_hat).mean(axis=(0, 2, 3))          # biased
+    # the squares' buffer becomes y once the variance is taken
+    sq = np.square(x_hat)
+    var = sq.mean(axis=(0, 2, 3))                        # biased
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat *= inv_std[None, :, None, None]
-    y = np.multiply(x_hat, _per_channel(gamma, x.dtype))
+    y = np.multiply(x_hat, _per_channel(gamma, x.dtype), out=sq)
     y += _per_channel(beta, x.dtype)
     new_mean = stat_momentum * running_mean + (1.0 - stat_momentum) * mean
     new_var = stat_momentum * running_var + (1.0 - stat_momentum) * var
@@ -208,8 +269,10 @@ def batchnorm_fold(w, gamma, beta, running_mean, running_var):
     return w * s[:, None, None, None], beta - running_mean * s
 
 
-def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
-    """Full batch-norm backward (gradients through mean and variance).
+def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray,
+                       out: np.ndarray | None = None):
+    """Full batch-norm backward (gradients through mean and variance); the
+    input gradient goes into `out` if given.
 
     With g = grad_out * gamma, the textbook sums are sum(g) = gamma * grad_beta
     and sum(g * x_hat) = gamma * grad_gamma, so
@@ -221,7 +284,7 @@ def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
     m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
     grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
     grad_beta = grad_out.sum(axis=(0, 2, 3))
-    grad_in = np.multiply(x_hat, _per_channel(grad_gamma / -m, x_hat.dtype))
+    grad_in = np.multiply(x_hat, _per_channel(grad_gamma / -m, x_hat.dtype), out=out)
     grad_in += grad_out
     grad_in -= _per_channel(grad_beta / m, x_hat.dtype)
     grad_in *= _per_channel(gamma * inv_std, x_hat.dtype)
@@ -237,15 +300,15 @@ class ReluTape:
     mask: np.ndarray
 
 
-def relu_forward(x: np.ndarray):
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None):
     mask = x > 0
-    return np.maximum(x, 0), ReluTape(mask)
+    return np.maximum(x, 0, out=out), ReluTape(mask)
 
 
-def relu_backward(tape: ReluTape, grad_out: np.ndarray):
+def relu_backward(tape: ReluTape, grad_out: np.ndarray, out: np.ndarray | None = None):
     if grad_out.shape != tape.mask.shape:
         raise ShapeError("grad_out shape mismatch with relu tape")
-    return grad_out * tape.mask
+    return np.multiply(grad_out, tape.mask, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +364,15 @@ def maxpool2x2_forward(x: np.ndarray):
     return best, idx, PoolTape(idx, x.shape)
 
 
-def _scatter_2x2(values: np.ndarray, idx: PoolIndices) -> np.ndarray:
-    """Each value at its recorded offset in a 2x2 block, +0.0 elsewhere."""
+def _scatter_2x2(values: np.ndarray, idx: PoolIndices, out: np.ndarray | None = None):
+    """Each value at its recorded offset in a 2x2 block, +0.0 elsewhere; into
+    `out` if given."""
     n, c, hh, ww = values.shape
-    out = np.empty((n, c, hh * 2, ww * 2), dtype=values.dtype)
+    if out is None:
+        out = np.empty((n, c, hh * 2, ww * 2), dtype=values.dtype)
+    elif out.shape != (n, c, hh * 2, ww * 2) or out.dtype != values.dtype:
+        raise ShapeError(f"out {out.shape} {out.dtype} != unpooled shape "
+                         f"{(n, c, hh * 2, ww * 2)} {values.dtype}")
     bits = _bits(values)
     # a bitwise AND with an all-ones or all-zero mask writes a corner's
     # value or +0.0 exactly, in one pass per corner
@@ -335,11 +403,12 @@ class UnpoolTape:
     idx: PoolIndices
 
 
-def unpool2x2_forward(v: np.ndarray, idx: PoolIndices):
+def unpool2x2_forward(v: np.ndarray, idx: PoolIndices, out: np.ndarray | None = None):
+    """Scatter v to its pool's argmax positions, into `out` if given."""
     check_4d(v, "v")
     if v.shape != idx.shape:
         raise ShapeError(f"values shape {v.shape} != indices shape {idx.shape}")
-    return _scatter_2x2(v, idx), UnpoolTape(idx)
+    return _scatter_2x2(v, idx, out), UnpoolTape(idx)
 
 
 def unpool2x2_backward(tape: UnpoolTape, grad_out: np.ndarray):

@@ -36,8 +36,9 @@ class LossWeights:
     lambda4: float = 0.0001
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.lambda3, self.lambda4) < 0:
-            raise ParameterError("loss weights must be >= 0")
+        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
+            if not getattr(self, name) >= 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 SSIM_MODES = ("local", "global")

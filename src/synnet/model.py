@@ -4,7 +4,9 @@ Block:          conv3x3 -> batchnorm -> ReLU (`_block`); at inference
                 batchnorm is folded into the conv (`layers.batchnorm_fold`).
 Encoder stage:  block -> maxpool2x2 (indices kept).
 Decoder stage:  unpool (matched encoder indices) -> concat matched encoder
-                pre-pool feature maps -> block.
+                pre-pool feature maps -> block.  The unpool and the skip
+                copies write straight into the block conv's zero-padded
+                input buffer (`layers.zero_padded`).
 Synthesis head: conv1x1 with bias, linear output.
 
 Block convs have no bias: batchnorm subtracts the per-channel mean, so a
@@ -222,12 +224,17 @@ class SynNetModel:
             arm_dec = []
             iarm = t.index_arm(d)
             for i in reversed(range(t.depth)):
-                x, ut = layers.unpool2x2_forward(x, idxs[iarm][i])
-                parts = [x] + [skips[a][i] for a in t.skip_arms(d)]
-                split = [p.shape[1] for p in parts]
-                # passed without a name, so the concat is freed once padded
-                x, bt = _block(params, state, f"dec.arm{d}.block{i}",
-                               np.concatenate(parts, axis=1), mode)
+                parts = [skips[a][i] for a in t.skip_arms(d)]
+                n, up_c, hh, ww = idxs[iarm][i].shape
+                split = [up_c] + [p.shape[1] for p in parts]
+                # the concat is the interior of the block conv's padded input
+                flat, cat = layers.zero_padded((n, sum(split), 2 * hh, 2 * ww), 3, x.dtype)
+                _, ut = layers.unpool2x2_forward(x, idxs[iarm][i], out=cat[:, :up_c])
+                for lo, p in zip(np.cumsum(split[:-1]), parts):
+                    cat[:, lo:lo + p.shape[1]] = p
+                x, bt = _block(params, state, f"dec.arm{d}.block{i}", cat, mode,
+                               padded=flat)
+                del flat, cat   # the conv tape keeps the buffer it needs
                 arm_dec.append((ut, split, bt) if keep else None)
             dec_tapes.append(arm_dec)
 
@@ -297,38 +304,43 @@ class SynNetModel:
                 bt, pt = trace.enc_tapes[a].pop()
                 g = layers.maxpool2x2_backward(pt, g)
                 if skip_grads[a][i] is not None:
-                    g = g + skip_grads[a][i]
+                    g += skip_grads[a][i]
                 g = _block_backward(bt, g, add, f"enc.arm{a}.block{i}")
 
         return grads
 
 
-def _block(params, state, prefix, x, mode):
-    """conv3x3 -> batchnorm -> ReLU; returns (y, (conv, bn, relu) tapes). Train
+def _block(params, state, prefix, x, mode, padded=None):
+    """conv3x3 -> batchnorm -> ReLU; returns (y, [conv, bn, relu] tapes). Train
     mode also updates the running statistics in `state`; infer mode runs one
-    conv with batchnorm folded in and returns tapes None."""
+    conv with batchnorm folded in and returns tapes None. `padded` is x's
+    zero-padded buffer, if x was built in one."""
     w = params[f"{prefix}.conv.weight"]
     gamma, beta = params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]
     mean, var = f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
     if mode == "infer":
         x, _ = layers.conv2d_forward(
-            x, *layers.batchnorm_fold(w, gamma, beta, state[mean], state[var]))
+            x, *layers.batchnorm_fold(w, gamma, beta, state[mean], state[var]),
+            padded=padded)
         return np.maximum(x, 0, out=x), None
-    x, ct = layers.conv2d_forward(x, w)
+    x, ct = layers.conv2d_forward(x, w, padded=padded)
     x, bt, state[mean], state[var] = layers.batchnorm_forward(
         x, gamma, beta, state[mean], state[var])
-    x, rt = layers.relu_forward(x)
-    return x, (ct, bt, rt)
+    x, rt = layers.relu_forward(x, out=x)
+    return x, [ct, bt, rt]
 
 
 def _block_backward(tapes, g, add, prefix):
-    """Backward of `_block`; adds the parameter gradients, returns the input's."""
-    ct, bt, rt = tapes
-    g = layers.relu_backward(rt, g)
-    g, grad_gamma, grad_beta = layers.batchnorm_backward(bt, g)
+    """Backward of `_block`; adds the parameter gradients, returns the input's.
+    Pops each tape as it is used, so it is freed; masks `g` in place, and
+    builds batchnorm's input gradient in the conv's zero-padded buffer."""
+    ct = tapes[0]
+    g = layers.relu_backward(tapes.pop(), g, out=g)
+    gflat, inner = layers.zero_padded(g.shape, ct.weights.shape[-1], ct.x_flat.dtype)
+    _, grad_gamma, grad_beta = layers.batchnorm_backward(tapes.pop(), g, out=inner)
     add(f"{prefix}.bn.gamma", grad_gamma)
     add(f"{prefix}.bn.beta", grad_beta)
-    g, grad_w, _ = layers.conv2d_backward(ct, g)
+    g, grad_w, _ = layers.conv2d_backward(tapes.pop(), inner, padded=gflat)
     add(f"{prefix}.conv.weight", grad_w)
     return g
 

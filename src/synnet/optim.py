@@ -55,8 +55,9 @@ class TrainConfig:
     tv_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ParameterError("batch_size and epochs must be >= 1")
+        for name in ("batch_size", "epochs"):
+            if not getattr(self, name) >= 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.loss not in LOSS_KINDS:
             raise ParameterError(f"loss must be one of {LOSS_KINDS}")
 

@@ -110,6 +110,13 @@ _CHOICES = {
     "topology": TOPOLOGY_KINDS,
     "ssim_mode": SSIM_MODES,
 }
+# fields whose range a library class checks: it is built from the one field
+_CHECKED_BY = {
+    "lr": OptimState, "momentum": OptimState,
+    "batch_size": TrainConfig, "epochs": TrainConfig,
+    "lambda1": LossWeights, "lambda2": LossWeights,
+    "lambda3": LossWeights, "lambda4": LossWeights,
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -140,9 +147,9 @@ def parse_config(text: str) -> RunConfig:
                               f"{', '.join(_CHOICES[key])}, got {value!r}")
         if key == "train_frac" and not 0 < parsed <= 1:
             raise ConfigError(f"line {lineno}: train_frac must be in (0, 1], got {value!r}")
-        if key in ("lr", "momentum"):
+        if key in _CHECKED_BY:
             try:
-                OptimState(**{key: parsed})
+                _CHECKED_BY[key](**{key: parsed})
             except ParameterError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from None
         setattr(cfg, key, parsed)

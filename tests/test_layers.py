@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synnet.layers import (BN_EPS, conv2d_forward, conv2d_backward,
+from synnet.layers import (BN_EPS, conv2d_forward, conv2d_backward, zero_padded,
                            batchnorm_forward, batchnorm_backward, batchnorm_fold,
                            relu_forward, relu_backward,
                            maxpool2x2_forward, maxpool2x2_backward,
@@ -326,3 +326,112 @@ def test_unpool_rejects_mismatched_indices():
     _, idx, _ = maxpool2x2_forward(x)
     with pytest.raises(ShapeError):
         unpool2x2_forward(np.zeros((1, 3, 2, 2)), idx)
+
+
+# ---------------------------------------------------------------------------
+# buffers handed in: `padded=` and `out=` give the copying path's bits
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def _in_buffer(x, k):
+    flat, inner = zero_padded(x.shape, k, x.dtype)
+    inner[...] = x
+    return flat, inner
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_c, out_c, k", [(2, 5, 3), (6, 3, 3), (6, 3, 1)],
+                         ids=["stacked", "per-offset", "pointwise"])
+def test_conv_padded_buffer_is_bit_equal_to_copying_path(in_c, out_c, k, dtype):
+    rng = RngStream(41)
+    x = rng.uniform((3, in_c, 6, 10), -1, 1).astype(dtype)
+    w = rng.uniform((out_c, in_c, k, k), -1, 1).astype(dtype)
+    g = rng.uniform((3, out_c, 6, 10), -1, 1).astype(dtype)
+    y, tape = conv2d_forward(x, w)
+    gx, gw, _ = conv2d_backward(tape, g)
+    flat, inner = _in_buffer(x, k)
+    y_buf, tape_buf = conv2d_forward(inner, w, padded=flat)
+    assert tape_buf.x_flat is flat
+    gflat, ginner = _in_buffer(g, k)
+    gx_buf, gw_buf, _ = conv2d_backward(tape_buf, ginner, padded=gflat)
+    assert _same_bits(y, y_buf) and _same_bits(tape.x_flat, flat)
+    assert _same_bits(gx, gx_buf) and _same_bits(gw, gw_buf)
+
+
+def test_zero_padded_interior_is_a_view_of_the_zeroed_buffer():
+    flat, inner = zero_padded((2, 3, 4, 5), 3, np.float32)
+    assert flat.shape == (2, 3, 6 * 7) and not flat.any()
+    assert inner.shape == (2, 3, 4, 5) and np.shares_memory(flat, inner)
+    inner[...] = 1
+    assert flat.sum() == inner.size
+
+
+@pytest.mark.parametrize("channel_major", [False, True])
+def test_conv1x1_tape_references_its_input(channel_major):
+    rng = RngStream(42)
+    x = rng.uniform((3, 4, 5, 6), -1, 1)
+    if channel_major:   # the layout of a conv's output, as the head sees it
+        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    _, tape = conv2d_forward(x, rng.uniform((2, 4, 1, 1), -1, 1), np.zeros(2))
+    assert np.shares_memory(tape.x_flat, x)
+
+
+@pytest.mark.parametrize("k", [3, 1])
+def test_conv_rejects_padded_buffer_whose_interior_is_not_x(k):
+    rng = RngStream(43)
+    x = rng.uniform((2, 3, 4, 6), -1, 1)
+    w = rng.uniform((4, 3, k, k), -1, 1)
+    flat, inner = _in_buffer(x, k)          # same values, other memory
+    with pytest.raises(ShapeError, match="interior"):
+        conv2d_forward(x, w, padded=flat)
+    with pytest.raises(ShapeError, match="interior"):
+        conv2d_forward(inner[:, :, :, ::-1], w, padded=flat)
+    with pytest.raises(ShapeError):        # wrong size, wrong dtype
+        conv2d_forward(inner, w, padded=flat[:1])
+    with pytest.raises(ShapeError):
+        conv2d_forward(inner, w, padded=flat.astype(np.float32))
+    _, tape = conv2d_forward(inner, w, padded=flat)
+    g = rng.uniform((2, 4, 4, 6), -1, 1)
+    gflat, _ = _in_buffer(g, k)
+    with pytest.raises(ShapeError, match="interior"):
+        conv2d_backward(tape, g, padded=gflat)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_unpool_relu_and_batchnorm_backward_out_are_bit_equal(dtype):
+    rng = RngStream(44)
+    # a conv output, channel-major as in the model, with exact zeros and -0.0
+    x, _ = conv2d_forward(rng.uniform((2, 3, 8, 8), -1, 1).astype(dtype),
+                          rng.uniform((4, 3, 3, 3), -1, 1).astype(dtype))
+    x[0, 0, :2] = 0.0
+    x[0, 1, :2] = -0.0
+    pooled, idx, _ = maxpool2x2_forward(x)
+    up, _ = unpool2x2_forward(pooled, idx)
+    flat, inner = zero_padded((2, 6, 8, 8), 3, dtype)
+    up_out, _ = unpool2x2_forward(pooled, idx, out=inner[:, 2:])
+    assert np.shares_memory(up_out, flat)
+    assert _same_bits(up, up_out) and not inner[:, :2].any()
+    with pytest.raises(ShapeError):
+        unpool2x2_forward(pooled, idx, out=inner[:, 1:])
+
+    y, rtape = relu_forward(x)
+    y_in = x.copy()
+    y_out, rtape_out = relu_forward(y_in, out=y_in)
+    assert y_out is y_in and _same_bits(y, y_out)
+    assert np.array_equal(rtape.mask, rtape_out.mask)
+    g = rng.uniform(x.shape, -1, 1).astype(dtype)
+    gr = relu_backward(rtape, g)
+    g_in = g.copy()
+    assert relu_backward(rtape, g_in, out=g_in) is g_in and _same_bits(gr, g_in)
+
+    _, btape, _, _ = batchnorm_forward(x, np.ones(4, dtype), np.zeros(4, dtype),
+                                       np.zeros(4, dtype), np.ones(4, dtype))
+    gx, gg, gb = batchnorm_backward(btape, gr)
+    bflat, binner = zero_padded(x.shape, 3, dtype)
+    gx_out, gg_out, gb_out = batchnorm_backward(btape, gr, out=binner)
+    assert np.shares_memory(gx_out, bflat)
+    assert _same_bits(gx, gx_out) and _same_bits(gg, gg_out) and _same_bits(gb, gb_out)

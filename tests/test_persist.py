@@ -67,8 +67,13 @@ def test_parse_config_errors_carry_line_numbers():
     ("lr = -1", "lr must be > 0"),
     ("lr = 0", "lr must be > 0"),
     ("momentum = 1", r"momentum must be in \[0, 1\)"),
+    ("batch_size = 0", "batch_size must be >= 1, got 0"),
+    ("epochs = 0", "epochs must be >= 1, got 0"),
+    ("lambda3 = -1", "lambda3 must be >= 0, got -1.0"),
+    ("lambda1 = nan", "lambda1 must be >= 0, got nan"),
 ], ids=["dtype", "loss", "topology", "ssim_mode", "train_frac-0", "train_frac-1.5",
-        "lr-negative", "lr-0", "momentum-1"])
+        "lr-negative", "lr-0", "momentum-1", "batch_size-0", "epochs-0", "lambda3-negative",
+        "lambda1-nan"])
 def test_parse_config_rejects_values_outside_allowed_set(line, message):
     with pytest.raises(ConfigError, match=f"line 2: {message}"):
         parse_config(f"lr = 0.1\n{line}\n")
