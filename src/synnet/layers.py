@@ -220,7 +220,8 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
 # batch normalization
 # ---------------------------------------------------------------------------
 
-BN_EPS = 1e-5   # added to the variance by batchnorm and by its fold
+BN_EPS = 1e-5       # added to the variance by batchnorm and by its fold
+BN_MOMENTUM = 0.9   # share of the old running statistics kept per batch
 
 
 @dataclass
@@ -234,7 +235,7 @@ def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
     return v.astype(dtype, copy=False)[None, :, None, None]
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, stat_momentum=0.9):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var):
     """Per-channel batch normalization by the batch mean / biased variance over
     (n,h,w); inference uses `batchnorm_fold` instead.
     Returns (y, tape, new_running_mean, new_running_var).
@@ -255,8 +256,8 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, stat_momentum=0
     x_hat *= inv_std[None, :, None, None]
     y = np.multiply(x_hat, _per_channel(gamma, x.dtype), out=sq)
     y += _per_channel(beta, x.dtype)
-    new_mean = stat_momentum * running_mean + (1.0 - stat_momentum) * mean
-    new_var = stat_momentum * running_var + (1.0 - stat_momentum) * var
+    new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
+    new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     return (y, BatchNormTape(x_hat, inv_std, gamma), new_mean.astype(running_mean.dtype),
             new_var.astype(running_var.dtype))
 

@@ -57,9 +57,10 @@ class SsimConfig:
 
     def __post_init__(self):
         if self.mode not in SSIM_MODES:
-            raise ParameterError(f"unknown ssim mode {self.mode!r}")
+            raise ParameterError(f"ssim_mode must be one of {', '.join(SSIM_MODES)}, "
+                                 f"got {self.mode!r}")
         if self.window < 1 or self.window % 2 == 0:
-            raise ParameterError("ssim window must be odd and >= 1")
+            raise ParameterError(f"ssim_window must be odd and >= 1, got {self.window!r}")
 
 
 @dataclass
@@ -289,8 +290,10 @@ def joint_loss(preds, targets, params, weights: LossWeights, cfg: SsimConfig,
     """Weighted combination of all terms over one or two prediction heads.
 
     Per-head L2 / SSIM / TV values are averaged across heads; `maps` is an
-    optional list of per-head edge weight maps. Weight-decay gradients are
-    returned unscaled (they act on the parameters, not the predictions).
+    optional list of per-head edge weight maps. An SSIM or TV term weighted
+    0 is not computed and reports 0, so weights (1, 0, 0, lambda4) give the
+    plain (or, with maps, edge-weighted) L2 loss. Weight-decay gradients
+    are returned unscaled (they act on the parameters, not the predictions).
     """
     if len(preds) != len(targets) or not preds:
         raise ParameterError("preds and targets must be nonempty equal-length lists")
@@ -302,15 +305,17 @@ def joint_loss(preds, targets, params, weights: LossWeights, cfg: SsimConfig,
     for h in range(nh):
         wmap = None if maps is None else maps[h]
         l2_v, l2_g = l2_loss(preds[h], targets[h], wmap)
-        ss_v, ss_g = ssim_loss(preds[h], targets[h], cfg, wmap)
-        tv_v, tv_g = tv_loss(preds[h], tv_eps)
         l2_term += l2_v / nh
-        ssim_term += ss_v / nh
-        tv_term += tv_v / nh
-        g = (weights.lambda1 * l2_g.astype(np.float64)
-             + weights.lambda2 * ss_g.astype(np.float64)
-             + weights.lambda3 * tv_g.astype(np.float64)) / nh
-        pred_grads.append(g.astype(preds[h].dtype))
+        g = weights.lambda1 * l2_g.astype(np.float64)
+        if weights.lambda2:
+            ss_v, ss_g = ssim_loss(preds[h], targets[h], cfg, wmap)
+            ssim_term += ss_v / nh
+            g += weights.lambda2 * ss_g.astype(np.float64)
+        if weights.lambda3:
+            tv_v, tv_g = tv_loss(preds[h], tv_eps)
+            tv_term += tv_v / nh
+            g += weights.lambda3 * tv_g.astype(np.float64)
+        pred_grads.append((g / nh).astype(preds[h].dtype))
     wd_term, wd_grads = weight_decay(params)
     total = (weights.lambda1 * l2_term + weights.lambda2 * ssim_term
              + weights.lambda3 * tv_term + weights.lambda4 * wd_term)

@@ -49,13 +49,19 @@ class Topology:
     def __post_init__(self):
         self.channels = tuple(int(c) for c in self.channels)
         if self.kind not in TOPOLOGY_KINDS:
-            raise ParameterError(f"unknown topology kind {self.kind!r}")
-        if self.depth < 1 or len(self.channels) != self.depth:
+            raise ParameterError(f"topology must be one of {', '.join(TOPOLOGY_KINDS)}, "
+                                 f"got {self.kind!r}")
+        for name in ("depth", "in_channels", "out_channels", "final_width"):
+            if not getattr(self, name) >= 1:
+                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if len(self.channels) != self.depth:
             raise ParameterError(
                 f"channels list length {len(self.channels)} != depth {self.depth}"
             )
+        if min(self.channels) < 1:
+            raise ParameterError(f"channels must be >= 1, got {self.channels}")
         if self.miso_index_arm not in (0, 1):
-            raise ParameterError("miso_index_arm must be 0 or 1")
+            raise ParameterError(f"miso_index_arm must be 0 or 1, got {self.miso_index_arm!r}")
 
     @property
     def in_arms(self) -> int:

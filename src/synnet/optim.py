@@ -8,6 +8,11 @@ The training loop is a pure function of (initial params, dataset order,
 config seed): per-epoch shuffles are drawn from streams derived from the
 config seed, so identical reruns are bit-identical and a resumed run
 continues exactly where the checkpointed one stopped.
+
+Every loss kind runs through `loss.joint_loss`: `joint` with the configured
+weights, `l2` and `weighted_l2` with weights (1, 0, 0, lambda4), so their
+SSIM and TV terms are not computed and report 0. Every kind but `l2`
+weights its pixels by the target's edge map.
 """
 
 from __future__ import annotations
@@ -55,11 +60,12 @@ class TrainConfig:
     tv_eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs"):
-            if not getattr(self, name) >= 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name, low in (("batch_size", 1), ("epochs", 1), ("edge_beta", 0), ("tv_eps", 0)):
+            if not getattr(self, name) >= low:
+                raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.loss not in LOSS_KINDS:
-            raise ParameterError(f"loss must be one of {LOSS_KINDS}")
+            raise ParameterError(f"loss must be one of {', '.join(LOSS_KINDS)}, "
+                                 f"got {self.loss!r}")
 
 
 def sgd_step(params, grads, state: OptimState):
@@ -76,30 +82,6 @@ def sgd_step(params, grads, state: OptimState):
         params[name] = (p - v).astype(p.dtype)
     state.iteration += 1
     return params, state
-
-
-def _batch_loss(preds, targets, params, cfg: TrainConfig):
-    """Loss terms plus gradients for the configured loss selection."""
-    nh = len(preds)
-    lw = cfg.loss_weights
-    if cfg.loss == "joint":
-        maps = [loss_mod.edge_weight_map(t, cfg.edge_beta) for t in targets]
-        return loss_mod.joint_loss(preds, targets, params, lw, cfg.ssim,
-                                   maps=maps, tv_eps=cfg.tv_eps)
-    maps = None
-    if cfg.loss == "weighted_l2":
-        maps = [loss_mod.edge_weight_map(t, cfg.edge_beta) for t in targets]
-    l2_term = 0.0
-    pred_grads = []
-    for h in range(nh):
-        v, g = loss_mod.l2_loss(preds[h], targets[h],
-                                None if maps is None else maps[h])
-        l2_term += v / nh
-        pred_grads.append((g.astype(np.float64) / nh).astype(preds[h].dtype))
-    wd_term, wd_grads = loss_mod.weight_decay(params)
-    total = l2_term + lw.lambda4 * wd_term
-    return loss_mod.LossReport(l2_term, 0.0, 0.0, wd_term, total,
-                               pred_grads, wd_grads)
 
 
 def _stack(samples, side, k):
@@ -122,7 +104,9 @@ def train(model, params, state, dataset, cfg: TrainConfig,
     root = RngStream(cfg.seed)
     history = []
     m = len(dataset)
-    lam4 = cfg.loss_weights.lambda4
+    weights = cfg.loss_weights
+    if cfg.loss != "joint":
+        weights = LossWeights(1.0, 0.0, 0.0, weights.lambda4)
 
     for epoch in range(opt_state.epoch, cfg.epochs):
         erng = root.child(f"epoch{epoch}")
@@ -140,12 +124,15 @@ def train(model, params, state, dataset, cfg: TrainConfig,
             where = f"at iteration {opt_state.iteration + 1} (epoch {epoch})"
             if not all(np.isfinite(p).all() for p in preds):
                 raise TrainingDivergedError(f"non-finite prediction {where}")
-            report = _batch_loss(preds, targets, params, cfg)
+            maps = (None if cfg.loss == "l2" else
+                    [loss_mod.edge_weight_map(t, cfg.edge_beta) for t in targets])
+            report = loss_mod.joint_loss(preds, targets, params, weights, cfg.ssim,
+                                         maps=maps, tv_eps=cfg.tv_eps)
             if not np.isfinite(report.total):
                 raise TrainingDivergedError(f"non-finite loss {where}")
             grads = model.backward(params, trace, report.pred_grads)
             for name, g in report.wd_grads.items():
-                grads[name] = grads[name] + (lam4 * g).astype(grads[name].dtype)
+                grads[name] = grads[name] + (weights.lambda4 * g).astype(grads[name].dtype)
             sgd_step(params, grads, opt_state)
             history.append({
                 "iter": opt_state.iteration, "epoch": epoch,

@@ -18,20 +18,25 @@ Checkpoints are saved atomically: written to a temporary file in the
 target's directory, then renamed over the target.
 
 Config files are `key = value` lines; `#` comments and blank lines are
-allowed; unknown keys are rejected.
+allowed; unknown keys are rejected. A setting that mirrors a field of a
+library class (Topology, TrainConfig, LossWeights, SsimConfig, OptimState)
+takes its default from that class, and the class checks its range, so a bad
+value fails with the line that set it. An SSIM or TV weight (lambda2,
+lambda3) of 0 switches that term off: `joint_loss` does not compute it and
+reports it as 0.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
 
 import numpy as np
 
-from .loss import SSIM_MODES, LossWeights, SsimConfig
+from .loss import LossWeights, SsimConfig
 from .model import TOPOLOGY_KINDS, SynNetModel, Topology
-from .optim import LOSS_KINDS, OptimState, TrainConfig
+from .optim import OptimState, TrainConfig
 from .tensor import DTYPES, ParameterError
 
 _MAGIC = b"SYNNETCK"
@@ -68,33 +73,39 @@ def _parse_int_tuple(v: str):
     return tuple(int(s) for s in v.split(",") if s.strip())
 
 
+def _owned(owner, attr: str):
+    """A RunConfig field mirroring `owner.attr`: it takes that default, and
+    `owner` checks its range."""
+    return field(default=getattr(owner, attr), metadata={"owner": owner, "attr": attr})
+
+
 @dataclass
 class RunConfig:
-    """Flat run settings; those that mirror a library class take its default."""
-    lambda1: float = LossWeights.lambda1
-    lambda2: float = LossWeights.lambda2
-    lambda3: float = LossWeights.lambda3
-    lambda4: float = LossWeights.lambda4
-    lr: float = OptimState.lr
-    momentum: float = OptimState.momentum
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
-    seed: int = TrainConfig.seed
-    loss: str = TrainConfig.loss
-    topology: str = Topology.kind
-    depth: int = Topology.depth
-    channels: tuple = Topology.channels
-    final_width: int = Topology.final_width
-    ssim_mode: str = SsimConfig.mode
-    ssim_window: int = SsimConfig.window
-    edge_beta: float = TrainConfig.edge_beta
-    tv_eps: float = TrainConfig.tv_eps
+    """Flat run settings; each one that mirrors a library class names it once."""
+    lambda1: float = _owned(LossWeights, "lambda1")
+    lambda2: float = _owned(LossWeights, "lambda2")
+    lambda3: float = _owned(LossWeights, "lambda3")
+    lambda4: float = _owned(LossWeights, "lambda4")
+    lr: float = _owned(OptimState, "lr")
+    momentum: float = _owned(OptimState, "momentum")
+    batch_size: int = _owned(TrainConfig, "batch_size")
+    epochs: int = _owned(TrainConfig, "epochs")
+    seed: int = _owned(TrainConfig, "seed")
+    loss: str = _owned(TrainConfig, "loss")
+    topology: str = _owned(Topology, "kind")
+    depth: int = _owned(Topology, "depth")
+    channels: tuple = _owned(Topology, "channels")
+    final_width: int = _owned(Topology, "final_width")
+    ssim_mode: str = _owned(SsimConfig, "mode")
+    ssim_window: int = _owned(SsimConfig, "window")
+    edge_beta: float = _owned(TrainConfig, "edge_beta")
+    tv_eps: float = _owned(TrainConfig, "tv_eps")
     input_modalities: tuple = ("m1",)
     output_modalities: tuple = ("m2",)
     augment: bool = False
-    shuffle: bool = TrainConfig.shuffle
-    miso_index_arm: int = Topology.miso_index_arm
-    mimo_arm_matched_skips: bool = Topology.mimo_arm_matched_skips
+    shuffle: bool = _owned(TrainConfig, "shuffle")
+    miso_index_arm: int = _owned(Topology, "miso_index_arm")
+    mimo_arm_matched_skips: bool = _owned(Topology, "mimo_arm_matched_skips")
     dtype: str = "single"
     train_frac: float = 0.8
 
@@ -104,25 +115,19 @@ _TUPLE_FIELDS = {
     "input_modalities": _parse_str_tuple,
     "output_modalities": _parse_str_tuple,
 }
-_CHOICES = {
-    "dtype": tuple(DTYPES),
-    "loss": LOSS_KINDS,
-    "topology": TOPOLOGY_KINDS,
-    "ssim_mode": SSIM_MODES,
-}
-# fields whose range a library class checks: it is built from the one field
-_CHECKED_BY = {
-    "lr": OptimState, "momentum": OptimState,
-    "batch_size": TrainConfig, "epochs": TrainConfig,
-    "lambda1": LossWeights, "lambda2": LossWeights,
-    "lambda3": LossWeights, "lambda4": LossWeights,
-}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse `key = value` lines into a RunConfig; missing keys keep defaults."""
+    """Parse `key = value` lines into a RunConfig; missing keys keep defaults.
+
+    Each value is checked at its line by building its owner class from that
+    one field. The Topology keys must agree with each other (depth and
+    channels), so the Topology is built once, after the last line, and its
+    error names every line that set one of them.
+    """
     cfg = RunConfig()
-    known = {f.name: f.type for f in dc_fields(RunConfig)}
+    known = {f.name: f for f in dc_fields(RunConfig)}
+    topology_lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,17 +147,26 @@ def parse_config(text: str) -> RunConfig:
                 parsed = type(current)(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: cannot parse value {value!r} for {key!r}")
-        if key in _CHOICES and parsed not in _CHOICES[key]:
-            raise ConfigError(f"line {lineno}: {key} must be one of "
-                              f"{', '.join(_CHOICES[key])}, got {value!r}")
+        if key == "dtype" and parsed not in DTYPES:
+            raise ConfigError(f"line {lineno}: dtype must be one of "
+                              f"{', '.join(DTYPES)}, got {value!r}")
         if key == "train_frac" and not 0 < parsed <= 1:
             raise ConfigError(f"line {lineno}: train_frac must be in (0, 1], got {value!r}")
-        if key in _CHECKED_BY:
+        owner = known[key].metadata.get("owner")
+        if owner is Topology:
+            topology_lines.append(lineno)
+        elif owner is not None:
             try:
-                _CHECKED_BY[key](**{key: parsed})
+                owner(**{known[key].metadata["attr"]: parsed})
             except ParameterError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from None
         setattr(cfg, key, parsed)
+    if topology_lines:
+        try:
+            _build(cfg, Topology)
+        except ParameterError as exc:
+            where = "line" if len(topology_lines) == 1 else "lines"
+            raise ConfigError(f"{where} {', '.join(map(str, topology_lines))}: {exc}") from None
     return cfg
 
 
@@ -166,21 +180,23 @@ def format_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _build(cfg: RunConfig, owner):
+    """`owner` built from the RunConfig fields that name it; a dataclass
+    field of `owner` (TrainConfig's loss weights and SSIM settings) is
+    built the same way."""
+    kwargs = {f.metadata["attr"]: getattr(cfg, f.name)
+              for f in dc_fields(RunConfig) if f.metadata.get("owner") is owner}
+    kwargs.update({f.name: _build(cfg, f.default_factory) for f in dc_fields(owner)
+                   if is_dataclass(f.default_factory)})
+    return owner(**kwargs)
+
+
 def topology_from_config(cfg: RunConfig) -> Topology:
-    return Topology(
-        kind=cfg.topology, depth=cfg.depth, channels=cfg.channels,
-        in_channels=1, out_channels=1, final_width=cfg.final_width,
-        miso_index_arm=cfg.miso_index_arm,
-        mimo_arm_matched_skips=cfg.mimo_arm_matched_skips)
+    return _build(cfg, Topology)
 
 
 def train_config_from_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg.batch_size, epochs=cfg.epochs, seed=cfg.seed,
-        loss=cfg.loss,
-        loss_weights=LossWeights(cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.lambda4),
-        ssim=SsimConfig(mode=cfg.ssim_mode, window=cfg.ssim_window),
-        edge_beta=cfg.edge_beta, shuffle=cfg.shuffle, tv_eps=cfg.tv_eps)
+    return _build(cfg, TrainConfig)
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,7 @@ def test_batchnorm_running_stats_update():
     rng = RngStream(4)
     x = rng.uniform((2, 1, 4, 4), 0, 1, dtype="double")
     rm, rv = np.array([0.5]), np.array([2.0])
-    _, _, nrm, nrv = batchnorm_forward(x, np.ones(1), np.zeros(1), rm, rv,
-                                       stat_momentum=0.9)
+    _, _, nrm, nrv = batchnorm_forward(x, np.ones(1), np.zeros(1), rm, rv)
     assert nrm[0] == pytest.approx(0.9 * 0.5 + 0.1 * x.mean())
     assert nrv[0] == pytest.approx(0.9 * 2.0 + 0.1 * x.var())
     # inputs untouched (functional update)

@@ -145,6 +145,27 @@ def test_train_joint_loss_populates_all_terms():
     assert row["l2"] > 0 and row["ssim"] > 0 and row["tv"] > 0 and row["wd"] > 0
 
 
+@pytest.mark.parametrize("kind", ["l2", "weighted_l2"])
+def test_l2_kinds_ignore_ssim_and_tv_weights(kind):
+    # the L2 kinds train through joint_loss with weights (1, 0, 0, lambda4),
+    # whatever lambda1-lambda3 say
+    runs = []
+    for lam in ((10.0, 5.0, 0.5), (1.0, 0.0, 0.0)):
+        model, params, state = _toy_model()
+        cfg = TrainConfig(batch_size=2, epochs=2, seed=5, loss=kind,
+                          loss_weights=LossWeights(*lam, 1e-3))
+        runs.append(train(model, params, state, _toy_dataset(), cfg,
+                          OptimState(lr=0.05, momentum=0.9)))
+    (p1, o1, h1), (p2, o2, h2) = runs
+    assert h1 == h2
+    for name in p1:
+        assert np.array_equal(p1[name], p2[name])
+        assert np.array_equal(o1.velocity[name], o2.velocity[name])
+    for row in h1:
+        assert row["ssim"] == 0.0 and row["tv"] == 0.0
+        assert row["total"] == row["l2"] + 1e-3 * row["wd"]
+
+
 def test_train_divergence_guard():
     model, params, state = _toy_model()
     for name in params:                             # blow up the starting point

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synnet import persist
 from synnet.model import SynNetModel, Topology, build_model
@@ -71,12 +72,33 @@ def test_parse_config_errors_carry_line_numbers():
     ("epochs = 0", "epochs must be >= 1, got 0"),
     ("lambda3 = -1", "lambda3 must be >= 0, got -1.0"),
     ("lambda1 = nan", "lambda1 must be >= 0, got nan"),
+    ("depth = 2", "channels list length 3 != depth 2"),
+    ("channels = 4,8", "channels list length 2 != depth 3"),
+    ("miso_index_arm = 2", "miso_index_arm must be 0 or 1, got 2"),
+    ("ssim_window = 4", "ssim_window must be odd and >= 1, got 4"),
+    ("final_width = 0", "final_width must be >= 1, got 0"),
+    ("channels = 0,4,8", r"channels must be >= 1, got \(0, 4, 8\)"),
+    ("edge_beta = -1", "edge_beta must be >= 0, got -1.0"),
+    ("tv_eps = -1", "tv_eps must be >= 0, got -1.0"),
 ], ids=["dtype", "loss", "topology", "ssim_mode", "train_frac-0", "train_frac-1.5",
         "lr-negative", "lr-0", "momentum-1", "batch_size-0", "epochs-0", "lambda3-negative",
-        "lambda1-nan"])
+        "lambda1-nan", "depth-2", "channels-4-8", "miso_index_arm-2", "ssim_window-4",
+        "final_width-0", "channels-zero", "edge_beta-negative", "tv_eps-negative"])
 def test_parse_config_rejects_values_outside_allowed_set(line, message):
     with pytest.raises(ConfigError, match=f"line 2: {message}"):
         parse_config(f"lr = 0.1\n{line}\n")
+
+
+@pytest.mark.parametrize("text", ["depth = 2\nchannels = 4,8\n",
+                                  "channels = 4,8\ndepth = 2\n"], ids=["depth-first", "channels-first"])
+def test_parse_config_topology_keys_agree_in_either_order(text):
+    cfg = parse_config(text)
+    assert (cfg.depth, cfg.channels) == (2, (4, 8))
+
+
+def test_parse_config_topology_error_names_every_topology_line():
+    with pytest.raises(ConfigError, match=r"^lines 1, 3: channels list length 3 != depth 2"):
+        parse_config("depth = 2\nlr = 0.1\ntopology = miso\n")
 
 
 def test_parse_config_accepts_every_allowed_value():
@@ -106,6 +128,41 @@ def test_readme_config_example_lists_every_key_at_its_default():
 def test_config_format_parse_roundtrip():
     cfg = RunConfig(lr=0.05, channels=(4, 8), depth=2, augment=True,
                     input_modalities=("m1", "m3"), ssim_mode="global")
+    assert parse_config(format_config(cfg)) == cfg
+
+
+_names = st.lists(st.sampled_from(["m1", "m2", "m3", "m4", "t1", "flair"]),
+                  min_size=1, max_size=2).map(tuple)
+_nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_configs(draw):
+    depth = draw(st.integers(1, 4))
+    return RunConfig(
+        lambda1=draw(_nonneg), lambda2=draw(_nonneg), lambda3=draw(_nonneg),
+        lambda4=draw(_nonneg),
+        lr=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        momentum=draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        batch_size=draw(st.integers(1, 512)), epochs=draw(st.integers(1, 1000)),
+        seed=draw(st.integers(0, 2 ** 32)),
+        loss=draw(st.sampled_from(["l2", "weighted_l2", "joint"])),
+        topology=draw(st.sampled_from(["siso", "miso", "mimo"])), depth=depth,
+        channels=tuple(draw(st.lists(st.integers(1, 256), min_size=depth, max_size=depth))),
+        final_width=draw(st.integers(1, 256)),
+        ssim_mode=draw(st.sampled_from(["local", "global"])),
+        ssim_window=draw(st.integers(0, 7)) * 2 + 1,
+        edge_beta=draw(_nonneg), tv_eps=draw(_nonneg),
+        input_modalities=draw(_names), output_modalities=draw(_names),
+        augment=draw(st.booleans()), shuffle=draw(st.booleans()),
+        miso_index_arm=draw(st.integers(0, 1)), mimo_arm_matched_skips=draw(st.booleans()),
+        dtype=draw(st.sampled_from(["single", "double"])),
+        train_frac=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_configs())
+def test_config_format_parse_roundtrip_over_valid_configs(cfg):
     assert parse_config(format_config(cfg)) == cfg
 
 
@@ -245,6 +302,19 @@ def test_checkpoint_rejects_topology_the_model_cannot_build(tmp_path):
     raw[arm] = 2
     open(path, "wb").write(bytes(raw))
     with pytest.raises(CheckpointError, match="bad topology: miso_index_arm"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_zero_width(tmp_path):
+    path = str(tmp_path / "width")
+    save_checkpoint(path, Checkpoint(Topology(kind="siso", depth=1, channels=(4,)), {}))
+    raw = bytearray(open(path, "rb").read())
+    # magic, version, kind, depth, channel count, 1 channel, in and out widths
+    final = 8 + 4 + 1 + 4 + 4 + 4 + 8
+    assert raw[final:final + 4] == (64).to_bytes(4, "little")
+    raw[final:final + 4] = bytes(4)
+    open(path, "wb").write(bytes(raw))
+    with pytest.raises(CheckpointError, match="bad topology: final_width must be >= 1, got 0"):
         load_checkpoint(path)
 
 
