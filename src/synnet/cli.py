@@ -40,28 +40,20 @@ def _load_config(path: str) -> persist.RunConfig:
         return persist.parse_config(f.read())
 
 
-def _padded_pairs(samples, cfg, factor):
-    """Zero-padded (inputs, targets) pairs, and each pair's crop record."""
-    pairs = data.training_pairs(samples, cfg.input_modalities, cfg.output_modalities)
+def _pairs(samples, cfg):
+    """(inputs, targets) training pairs in the configured dtype."""
     dtype = DTYPES[cfg.dtype]
-    out, recs = [], []
-    for inputs, targets in pairs:
-        inputs = [data.pad_to_multiple(t.astype(dtype), factor)[0] for t in inputs]
-        padded = [data.pad_to_multiple(t.astype(dtype), factor) for t in targets]
-        out.append((inputs, [t for t, _ in padded]))
-        recs.append(padded[0][1])
-    return out, recs
+    return [([t.astype(dtype) for t in inputs], [t.astype(dtype) for t in targets])
+            for inputs, targets in data.training_pairs(
+                samples, cfg.input_modalities, cfg.output_modalities)]
 
 
-def _scores(model, params, state, dataset, recs):
-    """Per pair, the (PSNR, SSIM) of each head, scored without the padding."""
-    for (inputs, targets), rec in zip(dataset, recs):
+def _scores(model, params, state, dataset):
+    """Per pair, the (PSNR, SSIM) of each head."""
+    for inputs, targets in dataset:
         preds, _ = model.forward(params, state, inputs, mode="infer")
-        scores = []
-        for pred, targ in zip(preds, targets):
-            pred, targ = data.crop_back(pred, rec), data.crop_back(targ, rec)
-            scores.append((metrics.psnr(pred, targ), metrics.ssim_standard(pred, targ)))
-        yield scores
+        yield [(metrics.psnr(pred, targ), metrics.ssim_standard(pred, targ))
+               for pred, targ in zip(preds, targets)]
 
 
 def _write_history(path, history):
@@ -87,9 +79,7 @@ def cmd_train(args) -> int:
 
     manifest = data.load_manifest(args.data)
     train_ids, _ = data.split_ids(manifest.sample_ids, cfg.train_frac)
-    samples = [data.load_sample(manifest, sid) for sid in train_ids]
-    factor = 2 ** topo.depth
-    dataset, recs = _padded_pairs(samples, cfg, factor)
+    dataset = _pairs([data.load_sample(manifest, sid) for sid in train_ids], cfg)
 
     if args.resume:
         cp = persist.load_checkpoint(args.resume)
@@ -110,7 +100,7 @@ def cmd_train(args) -> int:
         _write_history(args.history, history)
 
     # final train-set quality, infer mode
-    psnrs, ssims = zip(*(s for pair in _scores(model, params, state, dataset, recs)
+    psnrs, ssims = zip(*(s for pair in _scores(model, params, state, dataset)
                          for s in pair))
     print(f"final train PSNR={_fmt(float(np.mean(psnrs)))} dB "
           f"SSIM={_fmt(float(np.mean(ssims)))}")
@@ -133,17 +123,11 @@ def cmd_predict(args) -> int:
         raise ValueError(f"{topo.kind} needs {topo.in_arms} input file(s), got {len(in_files)}")
     if len(out_files) != topo.out_arms:
         raise ValueError(f"{topo.kind} needs {topo.out_arms} output file(s), got {len(out_files)}")
-    factor = 2 ** topo.depth
     dtype = DTYPES[cfg.dtype]
-    inputs, recs = [], []
-    for path in in_files:
-        t, rec = data.pad_to_multiple(data.load_pgm(path).astype(dtype), factor)
-        inputs.append(t)
-        recs.append(rec)
+    inputs = [data.load_pgm(path).astype(dtype) for path in in_files]
     preds, _ = model.forward(params, state, inputs, mode="infer")
     for pred, path in zip(preds, out_files):
-        img = data.crop_back(pred.astype(np.float64), recs[0])
-        data.save_pgm(path, np.clip(img, 0.0, 1.0))
+        data.save_pgm(path, np.clip(pred.astype(np.float64), 0.0, 1.0))
         print(f"wrote {path}")
     return 0
 
@@ -151,12 +135,9 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     model, params, state, cfg = _restore_model(args.ckpt)
     manifest = data.load_manifest(args.data)
-    factor = 2 ** model.topology.depth
-    samples = [data.load_sample(manifest, sid) for sid in manifest.sample_ids]
-    dataset, recs = _padded_pairs(samples, cfg, factor)
+    dataset = _pairs([data.load_sample(manifest, sid) for sid in manifest.sample_ids], cfg)
     rows = []
-    for sid, scores in zip(manifest.sample_ids,
-                           _scores(model, params, state, dataset, recs)):
+    for sid, scores in zip(manifest.sample_ids, _scores(model, params, state, dataset)):
         for head, (p, s) in enumerate(scores):
             rows.append((sid, head, p, s))
     mean_psnr = float(np.mean([r[2] for r in rows]))

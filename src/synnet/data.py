@@ -148,6 +148,8 @@ def draw_transform(rng: RngStream) -> dict:
 
 
 def apply_transform(t4: np.ndarray, tf: dict) -> np.ndarray:
+    """`tf` applied to a (1, 1, h, w) image; the result is h x w again (an
+    odd rotation of a non-square image, or a scale, is center-fitted)."""
     img = t4[0, 0]
     if tf["hflip"]:
         img = img[:, ::-1]
@@ -156,10 +158,9 @@ def apply_transform(t4: np.ndarray, tf: dict) -> np.ndarray:
     if tf["rot90"]:
         img = np.rot90(img, tf["rot90"])
     if tf["scale"] != 1.0:
-        h, w = t4.shape[2], t4.shape[3]
-        img = bilinear_resize(img, round(h * tf["scale"]), round(w * tf["scale"]))
-        img = _center_fit(img, h, w)
-    return np.ascontiguousarray(img)[None, None]
+        ih, iw = img.shape
+        img = bilinear_resize(img, round(ih * tf["scale"]), round(iw * tf["scale"]))
+    return np.ascontiguousarray(_center_fit(img, *t4.shape[2:]))[None, None]
 
 
 def augment(pair, rng: RngStream):

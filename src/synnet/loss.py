@@ -199,19 +199,6 @@ def _ssim_stats(x, y, filt):
     return mux, muy, vy, sx, sy, lum, con
 
 
-def ssim_map(pred, target, cfg: SsimConfig):
-    """Per-pixel map of the two-factor SSIM Q = l * c.
-
-    Global mode computes one Q per image from whole-image statistics and
-    broadcasts it; local mode uses uniform sliding windows with reflected
-    borders so the map covers every pixel.
-    """
-    _check_pair(pred, target)
-    filt, _ = _window(pred.shape, cfg)
-    *_, lum, con = _ssim_stats(target.astype(np.float64), pred.astype(np.float64), filt)
-    return lum * con
-
-
 def ssim_loss(pred, target, cfg: SsimConfig, weights=None):
     """Mean (optionally weighted) of 1 - Q, with the analytic gradient.
 

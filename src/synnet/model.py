@@ -1,5 +1,10 @@
 """SynNet graph assembly: encoder arms, decoder arms, synthesis heads.
 
+Image size:     any h x w. The forward zero-pads every input arm to a
+                multiple of 2^depth (`data.pad_to_multiple`), so that each
+                pool halves an even size, and crops every prediction back to
+                h x w (`data.crop_back`); the backward zero-pads each
+                prediction gradient back onto the padded frame.
 Block:          conv3x3 -> batchnorm -> ReLU (`_block`); at inference
                 batchnorm is folded into the conv (`layers.batchnorm_fold`).
 Encoder stage:  block -> maxpool2x2 (indices kept).
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layers
+from . import data, layers
 from .tensor import RngStream, ShapeError, ParameterError, UsageError, DTYPES, check_tensor
 
 
@@ -98,6 +103,7 @@ class ForwardTrace:
     fuse_tapes: list         # per decoder arm (or [None] for siso)
     dec_tapes: list          # [arm][k] -> (unpool tape, split, block tapes)
     head_tapes: list
+    crop: data.CropRecord    # where the predictions sit in the padded frame
     consumed: bool = False
 
 
@@ -173,18 +179,17 @@ class SynNetModel:
             state[name] = fill(shape, dtype=np_dtype)
         return params, state
 
-    def param_count(self) -> int:
-        return sum(int(np.prod(s)) for s in self.param_shapes().values())
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, params, state, inputs, mode="train"):
         """Whole-graph forward. Returns (predictions, trace).
 
-        `inputs` is a list of (n, in_channels, h, w) tensors, one per arm.
-        Train mode updates batchnorm running statistics in `state` and
-        returns a trace for `backward`; infer mode folds batchnorm into the
-        block convs and keeps no tapes (trace is None).
+        `inputs` is a list of (n, in_channels, h, w) tensors, one per arm,
+        all of one (n, h, w) for any h and w; each prediction is
+        (n, out_channels, h, w). Train mode updates batchnorm running
+        statistics in `state` and returns a trace for `backward`; infer mode
+        folds batchnorm into the block convs and keeps no tapes (trace is
+        None).
         """
         t = self.topology
         if mode not in ("train", "infer"):
@@ -195,15 +200,16 @@ class SynNetModel:
         # the one finiteness scan of a forward; the layers only check shapes
         for a, x in enumerate(inputs):
             check_tensor(x, f"input {a}")
-        h, w = inputs[0].shape[2], inputs[0].shape[3]
-        if h % (2 ** t.depth) or w % (2 ** t.depth):
-            raise ShapeError(
-                f"spatial dims {h}x{w} not divisible by 2^depth={2 ** t.depth}")
+        sizes = [(x.shape[0], *x.shape[2:]) for x in inputs]
+        if len(set(sizes)) > 1:
+            raise ShapeError(f"input arms must share one (n, h, w), got {sizes}")
+        padded = [data.pad_to_multiple(x, 2 ** t.depth) for x in inputs]
+        crop = padded[0][1]
         keep = mode == "train"
 
         enc_tapes, skips, idxs, bottlenecks = [], [], [], []
         for a in range(t.in_arms):
-            x = inputs[a]
+            x = padded[a][0]
             arm_tapes, arm_skips, arm_idx = [], [], []
             for i in range(t.depth):
                 x, bt = _block(params, state, f"enc.arm{a}.block{i}", x, mode)
@@ -246,12 +252,12 @@ class SynNetModel:
 
             y, ht = layers.conv2d_forward(
                 x, params[f"head.arm{d}.conv.weight"], params[f"head.arm{d}.conv.bias"])
-            preds.append(y)
+            preds.append(data.crop_back(y, crop))
             head_tapes.append(ht if keep else None)
 
         if not keep:
             return preds, None
-        return preds, ForwardTrace(enc_tapes, fuse_tapes, dec_tapes, head_tapes)
+        return preds, ForwardTrace(enc_tapes, fuse_tapes, dec_tapes, head_tapes, crop)
 
     # -- backward -----------------------------------------------------------
 
@@ -279,7 +285,11 @@ class SynNetModel:
         # popping each tape frees it as the backward goes; this makes up for the
         # gradient that this frame keeps alive through a `_block_backward` call
         for d in range(t.out_arms):
-            g, gw, gb = layers.conv2d_backward(trace.head_tapes.pop(0), grad_preds[d])
+            g, crop = data.pad_to_multiple(grad_preds[d], 2 ** t.depth)
+            if crop != trace.crop:
+                raise ShapeError(f"prediction gradient {d} is {crop.height}x{crop.width}, "
+                                 f"the predictions are {trace.crop.height}x{trace.crop.width}")
+            g, gw, gb = layers.conv2d_backward(trace.head_tapes.pop(0), g)
             add(f"head.arm{d}.conv.weight", gw)
             add(f"head.arm{d}.conv.bias", gb)
 

@@ -21,7 +21,9 @@ Config files are `key = value` lines; `#` comments and blank lines are
 allowed; unknown keys are rejected. A setting that mirrors a field of a
 library class (Topology, TrainConfig, LossWeights, SsimConfig, OptimState)
 takes its default from that class, and the class checks its range, so a bad
-value fails with the line that set it. An SSIM or TV weight (lambda2,
+value fails with the line that set it. Modality names are checked at their
+line by `data.canonical_modality`, and their counts against the topology's
+arm counts after the last line. An SSIM or TV weight (lambda2,
 lambda3) of 0 switches that term off: `joint_loss` does not compute it and
 reports it as 0.
 """
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
 
 import numpy as np
 
+from .data import canonical_modality
 from .loss import LossWeights, SsimConfig
 from .model import TOPOLOGY_KINDS, SynNetModel, Topology
 from .optim import OptimState, TrainConfig
@@ -116,18 +119,23 @@ _TUPLE_FIELDS = {
     "output_modalities": _parse_str_tuple,
 }
 
+# modality list -> the Topology property its length must equal
+_MODALITY_ARMS = {"input_modalities": "in_arms", "output_modalities": "out_arms"}
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines into a RunConfig; missing keys keep defaults.
 
     Each value is checked at its line by building its owner class from that
-    one field. The Topology keys must agree with each other (depth and
-    channels), so the Topology is built once, after the last line, and its
-    error names every line that set one of them.
+    one field; each modality name is checked at its line too. The Topology
+    keys must agree with each other (depth and channels), and the modality
+    counts with the topology's arm counts, so these are checked once, after
+    the last line, and the error names every line that set one of the keys
+    involved.
     """
     cfg = RunConfig()
     known = {f.name: f for f in dc_fields(RunConfig)}
-    topology_lines = []
+    set_at = {}   # key -> the lines that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -153,20 +161,31 @@ def parse_config(text: str) -> RunConfig:
         if key == "train_frac" and not 0 < parsed <= 1:
             raise ConfigError(f"line {lineno}: train_frac must be in (0, 1], got {value!r}")
         owner = known[key].metadata.get("owner")
-        if owner is Topology:
-            topology_lines.append(lineno)
-        elif owner is not None:
-            try:
-                owner(**{known[key].metadata["attr"]: parsed})
-            except ParameterError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-        setattr(cfg, key, parsed)
-    if topology_lines:
         try:
-            _build(cfg, Topology)
+            if key in _MODALITY_ARMS:
+                for name in parsed:
+                    canonical_modality(name)
+            elif owner is not None and owner is not Topology:
+                owner(**{known[key].metadata["attr"]: parsed})
         except ParameterError as exc:
-            where = "line" if len(topology_lines) == 1 else "lines"
-            raise ConfigError(f"{where} {', '.join(map(str, topology_lines))}: {exc}") from None
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        set_at.setdefault(key, []).append(lineno)
+        setattr(cfg, key, parsed)
+
+    def fail(keys, message):
+        lines = sorted(n for k in keys for n in set_at.get(k, ()))
+        where = "line" if len(lines) == 1 else "lines"
+        raise ConfigError(f"{where} {', '.join(map(str, lines))}: {message}") from None
+
+    # the defaults agree, so a failure below has a line that set a key in it
+    try:
+        topo = _build(cfg, Topology)
+    except ParameterError as exc:
+        fail([k for k, f in known.items() if f.metadata.get("owner") is Topology], exc)
+    for key, arms in _MODALITY_ARMS.items():
+        want, got = getattr(topo, arms), len(getattr(cfg, key))
+        if got != want:
+            fail(("topology", key), f"{topo.kind} needs {want} {key}, got {got}")
     return cfg
 
 

@@ -65,9 +65,6 @@ class RngStream:
     def uniform(self, shape, low: float, high: float, dtype: str = "single") -> np.ndarray:
         return self._gen.uniform(low, high, size=shape).astype(DTYPES[dtype])
 
-    def normal(self, shape, sigma: float = 1.0, dtype: str = "single") -> np.ndarray:
-        return (self._gen.standard_normal(size=shape) * sigma).astype(DTYPES[dtype])
-
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
 

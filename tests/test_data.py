@@ -84,11 +84,13 @@ def test_apply_transform_identity():
 
 
 def test_apply_transform_preserves_shape_under_scaling():
-    t = RngStream(3).uniform((1, 1, 10, 10), 0, 1, dtype="double")
-    for scale in (0.9, 1.1):
-        out = apply_transform(t, {"hflip": False, "vflip": False,
-                                  "rot90": 0, "scale": scale})
-        assert out.shape == t.shape
+    for shape in ((1, 1, 10, 10), (1, 1, 10, 14)):
+        t = RngStream(3).uniform(shape, 0, 1, dtype="double")
+        for rot90 in range(4):
+            for scale in (0.9, 1.0, 1.1):
+                out = apply_transform(t, {"hflip": False, "vflip": False,
+                                          "rot90": rot90, "scale": scale})
+                assert out.shape == t.shape
 
 
 def test_augment_applies_same_transform_to_all_modalities():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from synnet import loss as loss_mod
 from synnet.loss import (LossWeights, SsimConfig, l2_loss, edge_weight_map,
-                         sobel_magnitude, ssim_map, ssim_loss, tv_loss,
+                         sobel_magnitude, ssim_loss, tv_loss,
                          weight_decay, joint_loss)
 from synnet.tensor import RngStream, ShapeError, ParameterError
 from synnet.verify import finite_diff, max_rel_err
@@ -11,6 +12,13 @@ from synnet.verify import finite_diff, max_rel_err
 
 def _img(rows):
     return np.asarray(rows, dtype=np.float64)[None, None]
+
+
+def ssim_map(pred, target, cfg):
+    """Per-pixel two-factor SSIM Q = l * c, from the loss's window operator."""
+    filt, _ = loss_mod._window(pred.shape, cfg)
+    *_, lum, con = loss_mod._ssim_stats(target.astype(np.float64), pred.astype(np.float64), filt)
+    return lum * con
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,7 @@ def test_param_count_matches_shape_tally():
     expect += 4 * (6 + 6) * 9 + 2 * 4        # dec block1 -> channels[0]=4
     expect += 4 * (4 + 4) * 9 + 2 * 4        # dec block0 -> final_width=4
     expect += 1 * 4 * 1 + 1                  # head
-    assert model.param_count() == expect == sum(
-        int(np.prod(s)) for s in shapes.values())
+    assert expect == sum(int(np.prod(s)) for s in shapes.values())
 
 
 def test_init_params_statistics():
@@ -84,8 +83,12 @@ def test_forward_rejects_bad_arm_count_and_size():
     x = np.zeros((1, 1, 8, 8))
     with pytest.raises(UsageError):
         model.forward(params, state, [x, x])
+    # any size: 6x8 is padded to 8x8 inside, and the prediction cropped back
+    preds, _ = model.forward(params, state, [np.zeros((1, 1, 6, 8))])
+    assert preds[0].shape == (1, 1, 6, 8)
+    miso, mparams, mstate = build_model(_tiny("miso"), RngStream(1), dtype="double")
     with pytest.raises(ShapeError):
-        model.forward(params, state, [np.zeros((1, 1, 6, 8))])
+        miso.forward(mparams, mstate, [x, np.zeros((1, 1, 6, 8))])
     with pytest.raises(ParameterError):
         model.forward(params, state, [x], mode="eval")
 
@@ -200,19 +203,21 @@ def test_backward_grad_count_validation():
         model.backward(params, trace, [np.ones_like(preds[0])])
 
 
-@pytest.mark.parametrize("kind,extra", [
-    ("miso", dict(miso_index_arm=0)),
-    ("miso", dict(miso_index_arm=1)),
-    ("mimo", dict(mimo_arm_matched_skips=False)),
-    ("mimo", dict(mimo_arm_matched_skips=True)),
-], ids=["miso-arm0", "miso-arm1", "mimo-full-skips", "mimo-matched-skips"])
-def test_backward_matches_finite_differences_at_depth_2(kind, extra):
-    # fusion, cross-arm skips and both heads, in double, for every parameter
-    topo = Topology(kind=kind, depth=2, channels=(2, 2), final_width=2, **extra)
+@pytest.mark.parametrize("kind,depth,size,extra", [
+    ("miso", 2, (8, 8), dict(miso_index_arm=0)),
+    ("miso", 2, (6, 10), dict(miso_index_arm=1)),
+    ("mimo", 2, (8, 8), dict(mimo_arm_matched_skips=False)),
+    ("mimo", 2, (5, 7), dict(mimo_arm_matched_skips=True)),
+    ("siso", 1, (7, 9), dict()),
+], ids=["miso-arm0", "miso-arm1", "mimo-full-skips", "mimo-matched-skips", "siso-depth1"])
+def test_backward_matches_finite_differences_at_depth_2(kind, depth, size, extra):
+    # fusion, cross-arm skips and both heads, in double, for every parameter;
+    # a size that is not a multiple of 2^depth also checks the pad and crop
+    topo = Topology(kind=kind, depth=depth, channels=(2,) * depth, final_width=2, **extra)
     model, params, state = build_model(topo, RngStream(15), dtype="double")
     rng = RngStream(16)
-    inputs = [rng.uniform((2, 1, 8, 8), 0, 1, dtype="double") for _ in range(2)]
-    cots = [rng.uniform((2, 1, 8, 8), -1, 1, dtype="double")
+    inputs = [rng.uniform((2, 1, *size), 0, 1, dtype="double") for _ in range(topo.in_arms)]
+    cots = [rng.uniform((2, 1, *size), -1, 1, dtype="double")
             for _ in range(topo.out_arms)]
     for name, err in model_gradcheck(model, params, state, inputs, cots).items():
         assert err <= 1e-5, name

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from synnet.data import augment, generate_phantom, training_pairs
 from synnet.model import Topology, build_model
 from synnet.optim import (OptimState, TrainConfig, TrainingDivergedError,
                           sgd_step, train)
-from synnet.loss import LossWeights, SsimConfig
+from synnet.loss import LossWeights, SsimConfig, edge_weight_map, joint_loss
 from synnet.tensor import RngStream, ParameterError, UsageError
 
 
@@ -198,3 +199,37 @@ def test_train_rejects_empty_dataset_and_bad_config():
         TrainConfig(loss="l1")
     with pytest.raises(ParameterError):
         TrainConfig(batch_size=0)
+
+
+def test_training_loss_is_taken_on_the_unpadded_image():
+    # 18x18 is not a multiple of 2^depth = 4: the model pads to 20x20 and
+    # crops back, so the loss sees the 18x18 image and none of the padding
+    dataset = training_pairs([generate_phantom(i, 18, 18) for i in range(4)], ["m1"], ["m2"])
+    model, params, state = build_model(
+        Topology(depth=2, channels=(4, 6), final_width=4), RngStream(0), dtype="double")
+    cfg = TrainConfig(batch_size=4, epochs=1, seed=0, shuffle=False)
+    inputs = [np.concatenate([ins[0] for ins, _ in dataset])]
+    targets = [np.concatenate([outs[0] for _, outs in dataset])]
+    preds, _ = model.forward(params, dict(state), inputs, mode="train")
+    assert preds[0].shape == targets[0].shape == (4, 1, 18, 18)
+    expect = joint_loss(preds, targets, params, cfg.loss_weights, cfg.ssim,
+                        maps=[edge_weight_map(targets[0], cfg.edge_beta)], tv_eps=cfg.tv_eps)
+    _, _, history = train(model, params, state, dataset, cfg, OptimState())
+    assert history[0]["total"] == expect.total
+
+
+def test_augmented_training_on_non_square_images_keeps_every_shape():
+    # an odd rot90 turns a 16x24 image into 24x16; augmentation fits it back
+    dataset = training_pairs([generate_phantom(i, 16, 24) for i in range(4)], ["m1"], ["m2"])
+    shapes = set()
+
+    def augment_fn(pair, rng):
+        out = augment(pair, rng)
+        shapes.update(t.shape for side in out for t in side)
+        return out
+
+    model, params, state = build_model(
+        Topology(depth=2, channels=(2, 2), final_width=2), RngStream(0), dtype="double")
+    cfg = TrainConfig(batch_size=4, epochs=4, seed=1, loss="l2")
+    _, _, history = train(model, params, state, dataset, cfg, OptimState(), augment_fn=augment_fn)
+    assert len(history) == 4 and shapes == {(1, 1, 16, 24)}

@@ -37,6 +37,7 @@ def test_parse_config_overrides_and_comments():
 lr = 0.2            # aggressive
 epochs = 5
 channels = 8,16,16
+topology = miso
 input_modalities = t1, t2
 loss = l2
 augment = yes
@@ -101,9 +102,26 @@ def test_parse_config_topology_error_names_every_topology_line():
         parse_config("depth = 2\nlr = 0.1\ntopology = miso\n")
 
 
+def test_parse_config_names_the_line_of_an_unknown_modality():
+    with pytest.raises(ConfigError, match=r"^line 2: unknown modality 'xyz'"):
+        parse_config("lr = 0.1\ninput_modalities = xyz\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lr = 0.1\ntopology = miso\n", "^line 2: miso needs 2 input_modalities, got 1"),
+    ("topology = miso\nlr = 0.1\ninput_modalities = m1\n",
+     "^lines 1, 3: miso needs 2 input_modalities, got 1"),
+    ("output_modalities = m2,m3\n", "^line 1: siso needs 1 output_modalities, got 2"),
+], ids=["miso-one-input", "miso-one-input-set", "siso-two-outputs"])
+def test_parse_config_modality_count_must_fit_the_topology(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 def test_parse_config_accepts_every_allowed_value():
     text = "dtype = double\nloss = weighted_l2\ntopology = mimo\n" \
-           "ssim_mode = global\ntrain_frac = 1\n"
+           "ssim_mode = global\ntrain_frac = 1\n" \
+           "input_modalities = m1,m3\noutput_modalities = m2,m4\n"
     cfg = parse_config(text)
     assert (cfg.dtype, cfg.loss, cfg.topology, cfg.ssim_mode, cfg.train_frac) == \
         ("double", "weighted_l2", "mimo", "global", 1.0)
@@ -126,19 +144,23 @@ def test_readme_config_example_lists_every_key_at_its_default():
 
 
 def test_config_format_parse_roundtrip():
-    cfg = RunConfig(lr=0.05, channels=(4, 8), depth=2, augment=True,
+    cfg = RunConfig(lr=0.05, channels=(4, 8), depth=2, augment=True, topology="miso",
                     input_modalities=("m1", "m3"), ssim_mode="global")
     assert parse_config(format_config(cfg)) == cfg
 
 
-_names = st.lists(st.sampled_from(["m1", "m2", "m3", "m4", "t1", "flair"]),
-                  min_size=1, max_size=2).map(tuple)
+def _names(count):
+    return st.lists(st.sampled_from(["m1", "m2", "m3", "m4", "t1", "flair"]),
+                    min_size=count, max_size=count).map(tuple)
+
+
 _nonneg = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def _valid_configs(draw):
     depth = draw(st.integers(1, 4))
+    topo = Topology(kind=draw(st.sampled_from(["siso", "miso", "mimo"])))
     return RunConfig(
         lambda1=draw(_nonneg), lambda2=draw(_nonneg), lambda3=draw(_nonneg),
         lambda4=draw(_nonneg),
@@ -147,13 +169,14 @@ def _valid_configs(draw):
         batch_size=draw(st.integers(1, 512)), epochs=draw(st.integers(1, 1000)),
         seed=draw(st.integers(0, 2 ** 32)),
         loss=draw(st.sampled_from(["l2", "weighted_l2", "joint"])),
-        topology=draw(st.sampled_from(["siso", "miso", "mimo"])), depth=depth,
+        topology=topo.kind, depth=depth,
         channels=tuple(draw(st.lists(st.integers(1, 256), min_size=depth, max_size=depth))),
         final_width=draw(st.integers(1, 256)),
         ssim_mode=draw(st.sampled_from(["local", "global"])),
         ssim_window=draw(st.integers(0, 7)) * 2 + 1,
         edge_beta=draw(_nonneg), tv_eps=draw(_nonneg),
-        input_modalities=draw(_names), output_modalities=draw(_names),
+        input_modalities=draw(_names(topo.in_arms)),
+        output_modalities=draw(_names(topo.out_arms)),
         augment=draw(st.booleans()), shuffle=draw(st.booleans()),
         miso_index_arm=draw(st.integers(0, 1)), mimo_arm_matched_skips=draw(st.booleans()),
         dtype=draw(st.sampled_from(["single", "double"])),
@@ -168,7 +191,8 @@ def test_config_format_parse_roundtrip_over_valid_configs(cfg):
 
 def test_topology_and_train_config_from_config():
     cfg = parse_config("topology = miso\ndepth = 2\nchannels = 4,8\n"
-                       "final_width = 8\nmiso_index_arm = 1\nlambda3 = 0.1\n")
+                       "final_width = 8\nmiso_index_arm = 1\nlambda3 = 0.1\n"
+                       "input_modalities = m1,m3\n")
     topo = topology_from_config(cfg)
     assert topo.kind == "miso" and topo.depth == 2
     assert topo.channels == (4, 8) and topo.miso_index_arm == 1
