@@ -148,15 +148,18 @@ def draw_transform(rng: RngStream) -> dict:
 
 
 def apply_transform(t4: np.ndarray, tf: dict) -> np.ndarray:
-    """`tf` applied to a (1, 1, h, w) image; the result is h x w again (an
-    odd rotation of a non-square image, or a scale, is center-fitted)."""
+    """`tf` applied to a (1, 1, h, w) image; the result is h x w again (a
+    scale is center-fitted).  A non-square image turns by the even part of
+    an odd rotation, k & 2, so that it keeps every pixel instead of a
+    center-fitted w x h frame."""
     img = t4[0, 0]
     if tf["hflip"]:
         img = img[:, ::-1]
     if tf["vflip"]:
         img = img[::-1, :]
-    if tf["rot90"]:
-        img = np.rot90(img, tf["rot90"])
+    k = tf["rot90"] if img.shape[0] == img.shape[1] else tf["rot90"] & 2
+    if k:
+        img = np.rot90(img, k)
     if tf["scale"] != 1.0:
         ih, iw = img.shape
         img = bilinear_resize(img, round(ih * tf["scale"]), round(iw * tf["scale"]))

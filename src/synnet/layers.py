@@ -4,8 +4,11 @@ Conventions fixed here (the network blocks are assembled in `model`):
   - convolution is cross-correlation (no kernel flip), "same" zero padding;
     when in_c >= out_c its per-offset GEMMs run over chunks of images that
     fit in one core's L2 (see the convolution section);
-  - batchnorm has one mode, by the batch statistics; at inference
-    `batchnorm_fold` folds the running statistics into the conv before it;
+  - batchnorm has one mode, by the batch statistics, and includes the
+    block's ReLU: the forward applies it in place and keeps no mask, and
+    the backward rebuilds the mask from x_hat, gamma and beta.  At
+    inference `batchnorm_fold` folds the running statistics into the conv
+    before it;
   - max pooling is non-overlapping 2x2 / stride 2 with first-occurrence
     tie-break in row-major window order.  It works on the four strided
     corners x[:, :, u::2, v::2], offset 2u+v: the pooled value is the
@@ -19,18 +22,27 @@ Conventions fixed here (the network blocks are assembled in `model`):
 Layers check shapes but do not scan for non-finite values: the model
 checks its inputs once, and training checks its predictions.
 
-Every forward returns a tape carrying exactly what its backward needs.  A
-1x1 conv's tape references its input rather than a copy, so that input
-must not change until the backward has run.
+Every forward returns a tape carrying exactly what its backward needs:
+  - conv: its zero-padded input, rows flattened (`x_flat`); a 1x1 conv's
+    tape references its input rather than a copy, so that input must not
+    change until the backward has run;
+  - batchnorm: x_hat, the per-channel 1/std, gamma and beta;
+  - pool and unpool: the argmax offsets, one uint8 per pooled value.
+Conv and batchnorm tapes are consumed by their backward, which frees the
+buffers they hold as soon as it can: the conv backward drops its input once
+grad_w is formed, and the batchnorm backward masks its grad_out in place
+and writes the input gradient over x_hat.  A second backward on a consumed
+tape raises UsageError.
 
 Buffers handed in (`out=`, `padded=`) are written or kept as they are.  A
 conv takes `padded=flat` from `zero_padded`, the zero-padded flat buffer
 whose interior is its input, and keeps it as its tape's `x_flat` (forward)
 or correlates it as the padded grad_out (backward) instead of padding a
 copy; the producer of that input writes straight into the interior.
-`out=` writes a result into the given array.  The model hands over only
-buffers that nothing reads afterwards.  Either way every float op runs in
-the same order as without the buffer, so results are bit-equal.
+`out=` writes a result into the given array; batchnorm's forward writes
+x_hat there.  The model hands over only buffers that nothing reads
+afterwards.  Either way every float op runs in the same order as without
+the buffer, so results are bit-equal.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, ParameterError, check_4d
+from .tensor import ShapeError, ParameterError, UsageError, check_4d
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +77,17 @@ from .tensor import ShapeError, ParameterError, check_4d
 _L2_BYTES = 2 << 20     # 2 MiB, one core's private L2 on the benchmark host
 
 
+def _image_chunks(n: int, per_image: int):
+    """Slices of at most as many of n images as fit per_image bytes each
+    into _L2_BYTES, and at least one."""
+    chunk = min(n, max(1, _L2_BYTES // per_image))
+    return [slice(lo, lo + chunk) for lo in range(0, n, chunk)]
+
+
 @dataclass
 class ConvTape:
-    x_flat: np.ndarray     # zero-padded input, rows flattened: (n, in_c, (h+2p)*(w+2p));
-                           # for 1x1 a view of the input itself
+    x_flat: np.ndarray | None  # zero-padded input, rows flattened: (n, in_c, (h+2p)*(w+2p));
+                               # for 1x1 a view of the input itself; None once consumed
     weights: np.ndarray
     in_shape: tuple
     has_bias: bool
@@ -153,12 +172,11 @@ def _correlate(flat: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
         # contiguous per-offset weights: a strided one makes matmul slower
         taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, out_c, in_c)
         # accumulator, partial product and input rows of one chunk fit in L2
-        per_image = (2 * out_c + in_c) * h * wp * flat.itemsize
-        chunk = min(n, max(1, _L2_BYTES // per_image))
-        part = np.empty((chunk, out_c, span), dtype=flat.dtype)
-        for lo in range(0, n, chunk):
-            head = y[lo:lo + chunk, :, :span]
-            views = _shifted(flat[lo:lo + chunk], k, wp, span)
+        chunks = _image_chunks(n, (2 * out_c + in_c) * h * wp * flat.itemsize)
+        part = np.empty((chunks[0].stop, out_c, span), dtype=flat.dtype)
+        for sl in chunks:
+            head = y[sl, :, :span]
+            views = _shifted(flat[sl], k, wp, span)
             np.matmul(taps[0], views[0], out=head)
             for tap, view in zip(taps[1:], views[1:]):
                 head += np.matmul(tap, view, out=part[:len(head)])
@@ -191,8 +209,9 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
 def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | None = None):
     """Gradients w.r.t. input, weights and bias (None if the forward had none).
 
-    `padded` is grad_out's buffer from `zero_padded` (grad_out its interior),
-    used instead of a padded copy.
+    Consumes the tape: its input is dropped once grad_w is formed, and a
+    second backward on it raises UsageError.  `padded` is grad_out's buffer
+    from `zero_padded` (grad_out its interior), used instead of a padded copy.
     """
     w = tape.weights
     out_c, in_c, k, _ = w.shape
@@ -201,6 +220,8 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != forward output ({n},{out_c},{h},{wd})"
         )
+    if tape.x_flat is None:
+        raise UsageError("conv tape already consumed by a backward")
     p, wp = k // 2, wd + k - 1
     span = h * wp - (k - 1)
     # grad_out padded like the input: row width wp, zeros in the junk columns
@@ -208,6 +229,7 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
     g = gflat[:, :, p * wp + p:p * wp + p + span]
     grad_w = np.stack([np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
                        for view in _shifted(tape.x_flat, k, wp, span)], axis=-1)
+    tape.x_flat = None      # the input is freed before the input gradient is allocated
     grad_b = grad_out.sum(axis=(0, 2, 3)).astype(w.dtype) if tape.has_bias else None
     # the input gradient is the same correlation of the padded grad_out with
     # the kernel rotated 180 degrees and its in/out channels swapped
@@ -217,7 +239,7 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
 
 
 # ---------------------------------------------------------------------------
-# batch normalization
+# batch normalization and the ReLU after it
 # ---------------------------------------------------------------------------
 
 BN_EPS = 1e-5       # added to the variance by batchnorm and by its fold
@@ -226,19 +248,24 @@ BN_MOMENTUM = 0.9   # share of the old running statistics kept per batch
 
 @dataclass
 class BatchNormTape:
-    x_hat: np.ndarray
+    x_hat: np.ndarray | None  # normalised input; the backward writes over it
     inv_std: np.ndarray      # per channel
     gamma: np.ndarray
+    beta: np.ndarray
 
 
 def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
     return v.astype(dtype, copy=False)[None, :, None, None]
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, out=None):
     """Per-channel batch normalization by the batch mean / biased variance over
-    (n,h,w); inference uses `batchnorm_fold` instead.
+    (n,h,w), then ReLU; inference uses `batchnorm_fold` instead.
     Returns (y, tape, new_running_mean, new_running_var).
+
+    The tape keeps no ReLU mask: the backward rebuilds it from x_hat, gamma
+    and beta.  x_hat, which the tape keeps, goes into `out` if given; pass x
+    itself to centre it in place.
     """
     check_4d(x, "x")
     n, c, h, w = x.shape
@@ -248,7 +275,7 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var):
         raise ParameterError("batchnorm needs more than one value per channel")
     mean = x.mean(axis=(0, 2, 3))
     # centre once; the centred values become x_hat in place
-    x_hat = np.subtract(x, mean[None, :, None, None])
+    x_hat = np.subtract(x, mean[None, :, None, None], out=out)
     # the squares' buffer becomes y once the variance is taken
     sq = np.square(x_hat)
     var = sq.mean(axis=(0, 2, 3))                        # biased
@@ -256,10 +283,11 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var):
     x_hat *= inv_std[None, :, None, None]
     y = np.multiply(x_hat, _per_channel(gamma, x.dtype), out=sq)
     y += _per_channel(beta, x.dtype)
+    np.maximum(y, 0, out=y)
     new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
     new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
-    return (y, BatchNormTape(x_hat, inv_std, gamma), new_mean.astype(running_mean.dtype),
-            new_var.astype(running_var.dtype))
+    return (y, BatchNormTape(x_hat, inv_std, gamma, beta),
+            new_mean.astype(running_mean.dtype), new_var.astype(running_var.dtype))
 
 
 def batchnorm_fold(w, gamma, beta, running_mean, running_var):
@@ -270,46 +298,54 @@ def batchnorm_fold(w, gamma, beta, running_mean, running_var):
     return w * s[:, None, None, None], beta - running_mean * s
 
 
-def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray,
-                       out: np.ndarray | None = None):
-    """Full batch-norm backward (gradients through mean and variance); the
-    input gradient goes into `out` if given.
+def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
+    """Backward of batchnorm and its ReLU, through the batch mean and
+    variance.  Consumes the tape and `grad_out`: the ReLU mask is applied
+    to grad_out in place and the input gradient is written over x_hat.
 
-    With g = grad_out * gamma, the textbook sums are sum(g) = gamma * grad_beta
-    and sum(g * x_hat) = gamma * grad_gamma, so
+    The mask is rebuilt as x_hat * gamma > -beta.  The forward's ReLU saw
+    round(x_hat * gamma) + beta rounded, and a rounded sum is positive
+    exactly when the exact sum is, so the two agree bit for bit (and a
+    value of exactly 0 gets subgradient 0).
+
+    With grad_out masked and g = grad_out * gamma, the textbook sums are
+    sum(g) = gamma * grad_beta and sum(g * x_hat) = gamma * grad_gamma, so
     grad_in = gamma * inv_std * (grad_out - grad_beta/m - x_hat * grad_gamma/m).
+    Both sums, and then grad_in, run over chunks of images that fit in L2.
     """
-    x_hat, inv_std, gamma = tape.x_hat, tape.inv_std, tape.gamma
+    x_hat, inv_std, gamma, beta = tape.x_hat, tape.inv_std, tape.gamma, tape.beta
+    if x_hat is None:
+        raise UsageError("batchnorm tape already consumed by a backward")
     if grad_out.shape != x_hat.shape:
         raise ShapeError("grad_out shape mismatch with batchnorm tape")
-    m = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
-    grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
-    grad_in = np.multiply(x_hat, _per_channel(grad_gamma / -m, x_hat.dtype), out=out)
-    grad_in += grad_out
-    grad_in -= _per_channel(grad_beta / m, x_hat.dtype)
-    grad_in *= _per_channel(gamma * inv_std, x_hat.dtype)
-    return grad_in, grad_gamma.astype(gamma.dtype), grad_beta.astype(gamma.dtype)
-
-
-# ---------------------------------------------------------------------------
-# ReLU
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ReluTape:
-    mask: np.ndarray
-
-
-def relu_forward(x: np.ndarray, out: np.ndarray | None = None):
-    mask = x > 0
-    return np.maximum(x, 0, out=out), ReluTape(mask)
-
-
-def relu_backward(tape: ReluTape, grad_out: np.ndarray, out: np.ndarray | None = None):
-    if grad_out.shape != tape.mask.shape:
-        raise ShapeError("grad_out shape mismatch with relu tape")
-    return np.multiply(grad_out, tape.mask, out=out)
+    tape.x_hat = None
+    n, c, h, w = x_hat.shape
+    m = n * h * w
+    dtype = x_hat.dtype
+    # x_hat, grad_out, the product buffer and the mask of one chunk fit in L2
+    chunks = _image_chunks(n, c * h * w * (3 * dtype.itemsize + 1))
+    prod = np.empty((c, chunks[0].stop, h, w), dtype=dtype).transpose(1, 0, 2, 3)
+    mask = np.empty((c, chunks[0].stop, h, w), dtype=bool).transpose(1, 0, 2, 3)
+    gamma_c, neg_beta = _per_channel(gamma, dtype), _per_channel(-beta, dtype)
+    # each chunk's per-channel sums, added up in double
+    grad_gamma = np.zeros(c)
+    grad_beta = np.zeros(c)
+    for sl in chunks:
+        xh, g = x_hat[sl], grad_out[sl]
+        p, mk = prod[:len(xh)], mask[:len(xh)]
+        np.greater(np.multiply(xh, gamma_c, out=p), neg_beta, out=mk)
+        np.multiply(g, mk, out=g)
+        grad_beta += g.sum(axis=(0, 2, 3))
+        grad_gamma += np.multiply(g, xh, out=p).sum(axis=(0, 2, 3))
+    a = _per_channel(grad_gamma / -m, dtype)
+    b = _per_channel(grad_beta / m, dtype)
+    s = _per_channel(gamma * inv_std, dtype)
+    for sl in chunks:
+        gi = np.multiply(x_hat[sl], a, out=x_hat[sl])
+        gi += grad_out[sl]
+        gi -= b
+        gi *= s
+    return x_hat, grad_gamma.astype(gamma.dtype), grad_beta.astype(gamma.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,24 @@ Image size:     any h x w. The forward zero-pads every input arm to a
                 pool halves an even size, and crops every prediction back to
                 h x w (`data.crop_back`); the backward zero-pads each
                 prediction gradient back onto the padded frame.
-Block:          conv3x3 -> batchnorm -> ReLU (`_block`); at inference
-                batchnorm is folded into the conv (`layers.batchnorm_fold`).
+Block:          conv3x3 -> batchnorm -> ReLU (`_block`), where
+                `layers.batchnorm_forward` includes the ReLU and centres the
+                conv output in place; at inference batchnorm is folded into
+                the conv (`layers.batchnorm_fold`).
 Encoder stage:  block -> maxpool2x2 (indices kept).
 Decoder stage:  unpool (matched encoder indices) -> concat matched encoder
                 pre-pool feature maps -> block.  The unpool and the skip
                 copies write straight into the block conv's zero-padded
-                input buffer (`layers.zero_padded`).
+                input buffer (`layers.zero_padded`); each skip map is freed
+                after its copy into the last decoder arm that reads it.
 Synthesis head: conv1x1 with bias, linear output.
+
+Trace:          per block, its conv tape (the padded input) and batchnorm
+                tape (x_hat, no ReLU mask); per pool, its argmax offsets;
+                per head and fuse conv, its input.  `backward` pops each
+                tape as it goes and each layer backward consumes its tape,
+                so a trace is used once and the backward frees the tape
+                behind it.
 
 Block convs have no bias: batchnorm subtracts the per-channel mean, so a
 bias in front of it has an exactly zero gradient and never learns. The
@@ -223,6 +233,8 @@ class SynNetModel:
             bottlenecks.append(x)
 
         fuse_tapes, dec_tapes, head_tapes, preds = [], [], [], []
+        # the decoder arm that copies each encoder arm's skip maps last
+        last_reader = {a: d for d in range(t.out_arms) for a in t.skip_arms(d)}
         for d in range(t.out_arms):
             if t.kind == "siso":
                 x, ft = bottlenecks[0], None
@@ -236,14 +248,16 @@ class SynNetModel:
             arm_dec = []
             iarm = t.index_arm(d)
             for i in reversed(range(t.depth)):
-                parts = [skips[a][i] for a in t.skip_arms(d)]
                 n, up_c, hh, ww = idxs[iarm][i].shape
-                split = [up_c] + [p.shape[1] for p in parts]
+                split = [up_c] + [t.channels[i]] * len(t.skip_arms(d))
+                bounds = np.cumsum(split)
                 # the concat is the interior of the block conv's padded input
-                flat, cat = layers.zero_padded((n, sum(split), 2 * hh, 2 * ww), 3, x.dtype)
+                flat, cat = layers.zero_padded((n, bounds[-1], 2 * hh, 2 * ww), 3, x.dtype)
                 _, ut = layers.unpool2x2_forward(x, idxs[iarm][i], out=cat[:, :up_c])
-                for lo, p in zip(np.cumsum(split[:-1]), parts):
-                    cat[:, lo:lo + p.shape[1]] = p
+                for a, lo, hi in zip(t.skip_arms(d), bounds[:-1], bounds[1:]):
+                    cat[:, lo:hi] = skips[a][i]
+                    if last_reader[a] == d:
+                        skips[a][i] = None   # copied for the last time: free it
                 x, bt = _block(params, state, f"dec.arm{d}.block{i}", cat, mode,
                                padded=flat)
                 del flat, cat   # the conv tape keeps the buffer it needs
@@ -282,8 +296,9 @@ class SynNetModel:
         def acc(store, key, g):
             store[key] = g if store[key] is None else store[key] + g
 
-        # popping each tape frees it as the backward goes; this makes up for the
-        # gradient that this frame keeps alive through a `_block_backward` call
+        # popping each tape frees it as the backward goes; a block's incoming
+        # gradient is handed over on its tape stack, so that this frame does
+        # not keep it alive through `_block_backward`
         for d in range(t.out_arms):
             g, crop = data.pad_to_multiple(grad_preds[d], 2 ** t.depth)
             if crop != trace.crop:
@@ -294,8 +309,10 @@ class SynNetModel:
             add(f"head.arm{d}.conv.bias", gb)
 
             for i in range(t.depth):  # reverse of forward order
-                ut, split, bt = trace.dec_tapes[d].pop()
-                g = _block_backward(bt, g, add, f"dec.arm{d}.block{i}")
+                ut, split, tapes = trace.dec_tapes[d].pop()
+                tapes.append(g)
+                del g
+                g = _block_backward(tapes, add, f"dec.arm{d}.block{i}")
                 # split concat gradient: unpooled path first, then skip maps
                 pieces = np.split(g, np.cumsum(split)[:-1], axis=1)
                 for a, piece in zip(t.skip_arms(d), pieces[1:]):
@@ -317,20 +334,22 @@ class SynNetModel:
         for a in range(t.in_arms):
             g = bott_grads[a]
             for i in reversed(range(t.depth)):
-                bt, pt = trace.enc_tapes[a].pop()
+                tapes, pt = trace.enc_tapes[a].pop()
                 g = layers.maxpool2x2_backward(pt, g)
                 if skip_grads[a][i] is not None:
                     g += skip_grads[a][i]
-                g = _block_backward(bt, g, add, f"enc.arm{a}.block{i}")
+                tapes.append(g)
+                del g
+                g = _block_backward(tapes, add, f"enc.arm{a}.block{i}")
 
         return grads
 
 
 def _block(params, state, prefix, x, mode, padded=None):
-    """conv3x3 -> batchnorm -> ReLU; returns (y, [conv, bn, relu] tapes). Train
-    mode also updates the running statistics in `state`; infer mode runs one
-    conv with batchnorm folded in and returns tapes None. `padded` is x's
-    zero-padded buffer, if x was built in one."""
+    """conv3x3 -> batchnorm -> ReLU; returns (y, [conv, batchnorm] tapes), where
+    batchnorm includes the ReLU. Train mode also updates the running statistics
+    in `state`; infer mode runs one conv with batchnorm folded in and returns
+    tapes None. `padded` is x's zero-padded buffer, if x was built in one."""
     w = params[f"{prefix}.conv.weight"]
     gamma, beta = params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]
     mean, var = f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
@@ -340,23 +359,27 @@ def _block(params, state, prefix, x, mode, padded=None):
             padded=padded)
         return np.maximum(x, 0, out=x), None
     x, ct = layers.conv2d_forward(x, w, padded=padded)
+    # nothing else reads the conv output, so batchnorm centres it in place
     x, bt, state[mean], state[var] = layers.batchnorm_forward(
-        x, gamma, beta, state[mean], state[var])
-    x, rt = layers.relu_forward(x, out=x)
-    return x, [ct, bt, rt]
+        x, gamma, beta, state[mean], state[var], out=x)
+    return x, [ct, bt]
 
 
-def _block_backward(tapes, g, add, prefix):
+def _block_backward(tapes, add, prefix):
     """Backward of `_block`; adds the parameter gradients, returns the input's.
-    Pops each tape as it is used, so it is freed; masks `g` in place, and
-    builds batchnorm's input gradient in the conv's zero-padded buffer."""
-    ct = tapes[0]
-    g = layers.relu_backward(tapes.pop(), g, out=g)
-    gflat, inner = layers.zero_padded(g.shape, ct.weights.shape[-1], ct.x_flat.dtype)
-    _, grad_gamma, grad_beta = layers.batchnorm_backward(tapes.pop(), g, out=inner)
+    `tapes` is the block's [conv, batchnorm] tapes with the gradient of the
+    block's output pushed on top. Each is popped and freed once used, so the
+    incoming gradient is gone before the conv's zero-padded gradient buffer,
+    into which batchnorm's input gradient is copied, is allocated."""
+    g = tapes.pop()
+    g, grad_gamma, grad_beta = layers.batchnorm_backward(tapes.pop(), g)
     add(f"{prefix}.bn.gamma", grad_gamma)
     add(f"{prefix}.bn.beta", grad_beta)
-    g, grad_w, _ = layers.conv2d_backward(tapes.pop(), inner, padded=gflat)
+    ct = tapes.pop()
+    gflat, inner = layers.zero_padded(g.shape, ct.weights.shape[-1], g.dtype)
+    inner[...] = g
+    del g
+    g, grad_w, _ = layers.conv2d_backward(ct, inner, padded=gflat)
     add(f"{prefix}.conv.weight", grad_w)
     return g
 

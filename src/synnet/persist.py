@@ -30,6 +30,7 @@ reports it as 0.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
@@ -46,6 +47,7 @@ _MAGIC = b"SYNNETCK"
 _VERSION = 2
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.float32, 1: np.float64}
+_MAX_NDIM = 32    # NumPy 1 allows 32 dims; the model's tensors have at most 4
 
 
 class CheckpointError(ValueError):
@@ -284,6 +286,12 @@ class _Reader:
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as f:
@@ -311,18 +319,25 @@ def load_checkpoint(path: str) -> Checkpoint:
     tensors = {}
     for i in range(count):
         nlen = r.u32(f"tensor {i} name length")
-        name = r.take(nlen, f"tensor {i} name").decode()
+        name = r.text(nlen, f"tensor {i} name")
         tag = r.u8(f"tensor {name!r} dtype")
         if tag not in _TAG_DTYPES:
             raise CheckpointError(f"tensor {name!r}: bad dtype tag {tag}")
         ndim = r.u32(f"tensor {name!r} ndim")
+        if ndim > _MAX_NDIM:
+            raise CheckpointError(f"tensor {name!r}: ndim {ndim} is above {_MAX_NDIM}")
         dims = struct.unpack(f"<{ndim}I", r.take(4 * ndim, f"tensor {name!r} dims"))
         dtype = np.dtype(_TAG_DTYPES[tag]).newbyteorder("<")
-        nbytes = int(np.prod(dims)) * dtype.itemsize if ndim else dtype.itemsize
-        arr = np.frombuffer(r.take(nbytes, f"tensor {name!r} data"), dtype=dtype)
-        tensors[name] = arr.reshape(dims).astype(_TAG_DTYPES[tag]).copy()
+        # exact integers: a product of corrupt dims must not wrap around
+        arr = np.frombuffer(r.take(math.prod(dims) * dtype.itemsize, f"tensor {name!r} data"),
+                            dtype=dtype)
+        try:
+            arr = arr.reshape(dims)
+        except ValueError as exc:    # no data, but dims too large for NumPy
+            raise CheckpointError(f"tensor {name!r}: dims {dims}: {exc}") from None
+        tensors[name] = arr.astype(_TAG_DTYPES[tag]).copy()
     clen = r.u32("config length")
-    config_text = r.take(clen, "config text").decode()
+    config_text = r.text(clen, "config text")
     return Checkpoint(topo, tensors, config_text, version)
 
 

@@ -5,7 +5,7 @@ fast paths) so they can gate the optimized implementations. The gradient
 checks compare every analytic backward against central finite differences
 of a scalar probe (sum of output times a fixed random cotangent) at double
 precision, with inputs rejection-sampled away from non-differentiable sets
-(pool ties, ReLU zeros, TV kinks).
+(pool ties, ReLU zeros, TV kinks) where a layer is checked alone.
 """
 
 from __future__ import annotations
@@ -229,9 +229,21 @@ def _staircase(rng, n, c, h, w):
     return out
 
 
+# whole-model cases of the suite: (topology kind, depth, input h x w, extra
+# Topology fields), by case name
+MODEL_CASES = {
+    "miso-arm0": ("miso", 2, (8, 8), dict(miso_index_arm=0)),
+    "miso-arm1": ("miso", 2, (6, 10), dict(miso_index_arm=1)),
+    "mimo-full-skips": ("mimo", 2, (8, 8), dict(mimo_arm_matched_skips=False)),
+    "mimo-matched-skips": ("mimo", 2, (5, 7), dict(mimo_arm_matched_skips=True)),
+    "siso-depth1": ("siso", 1, (7, 9), dict()),
+}
+
+
 def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
-    """Run every layer and loss gradient check plus the tiny whole-model
-    check; returns a list of CheckResult in a fixed order."""
+    """Run every layer and loss gradient check, on data drawn from `seed`,
+    plus the whole-model check of every MODEL_CASES topology; returns a list
+    of CheckResult in a fixed order."""
     rng = RngStream(seed)
     results = []
 
@@ -261,33 +273,29 @@ def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
     check("conv1x1/input", gx1,
           finite_diff(lambda v: float((layers.conv2d_forward(v, w1, b1)[0] * cot1).sum()), x.copy(), h_step), 1e-6)
 
-    # batchnorm
-    xb = _u(rng, (3, 2, 5, 5))
+    # batchnorm and its ReLU, with no pre-activation near the ReLU's kink
     gamma = _u(rng, (2,), 0.5, 1.5)
-    beta = _u(rng, (2,), -0.5, 0.5)
     rm, rv = np.zeros(2), np.ones(2)
     cotb = _u(rng, (3, 2, 5, 5))
+    while True:
+        xb = _u(rng, (3, 2, 5, 5))
+        beta = _u(rng, (2,), -0.5, 0.5)
+        _, tb, _, _ = layers.batchnorm_forward(xb, gamma, beta, rm, rv)
+        if np.min(np.abs(tb.x_hat * gamma[None, :, None, None]
+                         + beta[None, :, None, None])) > 0.05:
+            break
 
     def bn_probe(xv, gv, bv):
         yv, _, _, _ = layers.batchnorm_forward(xv, gv, bv, rm, rv)
         return float((yv * cotb).sum())
 
-    yb, tb, _, _ = layers.batchnorm_forward(xb, gamma, beta, rm, rv)
-    gxb, gg, gbeta = layers.batchnorm_backward(tb, cotb)
-    check("batchnorm/input", gxb,
+    gxb, gg, gbeta = layers.batchnorm_backward(tb, cotb.copy())
+    check("batchnorm_relu/input", gxb,
           finite_diff(lambda v: bn_probe(v, gamma, beta), xb.copy(), h_step), 1e-6)
-    check("batchnorm/gamma", gg,
+    check("batchnorm_relu/gamma", gg,
           finite_diff(lambda v: bn_probe(xb, v, beta), gamma.copy(), h_step), 1e-6)
-    check("batchnorm/beta", gbeta,
+    check("batchnorm_relu/beta", gbeta,
           finite_diff(lambda v: bn_probe(xb, gamma, v), beta.copy(), h_step), 1e-6)
-
-    # relu, away from 0
-    xr = _u(rng, (2, 2, 5, 5))
-    xr = np.sign(xr) * (0.1 + np.abs(xr))
-    cotr = _u(rng, (2, 2, 5, 5))
-    _, tr = layers.relu_forward(xr)
-    check("relu/input", layers.relu_backward(tr, cotr),
-          finite_diff(lambda v: float((layers.relu_forward(v)[0] * cotr).sum()), xr.copy(), h_step), 1e-7)
 
     # maxpool on tie-free input
     xp = _u(rng, (2, 2, 6, 6))
@@ -326,14 +334,20 @@ def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
     check("loss/tv", loss_mod.tv_loss(xt, 1e-8)[1],
           finite_diff(lambda v: loss_mod.tv_loss(v, 1e-8)[0], xt.copy(), h_step), 1e-4)
 
-    # tiny whole model
-    topo = Topology(kind="siso", depth=1, channels=(4,), final_width=4)
-    model = SynNetModel(topo)
-    params, state = model.init_params(rng.child("tinymodel"), dtype="double")
-    xin = _u(rng, (2, 1, 8, 8), 0.0, 1.0)
-    cotm = _u(rng, (2, 1, 8, 8))
-    for name, err in model_gradcheck(model, params, state, [xin], [cotm], h_step).items():
-        results.append(CheckResult(f"model/{name}", err, 1e-5))
+    # whole models in double, every parameter: fusion, cross-arm skips and
+    # both heads; a size that is not a multiple of 2^depth checks the pad
+    # and crop.  Their draws are fixed, not seeded: ReLU and pooling make a
+    # model piecewise smooth, and some draws put a kink within one
+    # finite-difference step of a parameter
+    for case, (kind, depth, size, extra) in MODEL_CASES.items():
+        topo = Topology(kind=kind, depth=depth, channels=(2,) * depth, final_width=2, **extra)
+        model = SynNetModel(topo)
+        params, state = model.init_params(RngStream(15), dtype="double")
+        draw = RngStream(16)
+        inputs = [_u(draw, (2, 1, *size), 0.0, 1.0) for _ in range(topo.in_arms)]
+        cots = [_u(draw, (2, 1, *size)) for _ in range(topo.out_arms)]
+        for name, err in model_gradcheck(model, params, state, inputs, cots, h_step).items():
+            results.append(CheckResult(f"model/{case}/{name}", err, 1e-5))
     return results
 
 

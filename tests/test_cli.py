@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from synnet import data
+from synnet import data, verify
 from synnet.cli import main
 from synnet.data import load_pgm, save_pgm, generate_phantom
 from synnet.metrics import psnr, ssim_standard
@@ -210,11 +210,17 @@ def test_eval_and_train_score_only_the_unpadded_image(tmp_path, capsys):
     assert float(m[2]) == np.mean([s for _, s in scores[:n_train]])
 
 
-def test_gradcheck_command_exit_code(tmp_path, capsys):
+def test_gradcheck_command_exit_code(capsys, monkeypatch, suite_results):
+    # the suite's results at seed 0, shared with the tests that check them
+    monkeypatch.setattr(verify, "gradcheck_suite", suite_results)
     assert main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert "checks passed" in out
+    assert f"{len(suite_results(0))}/{len(suite_results(0))} checks passed" in out
     assert "FAIL" not in out
+    failing = verify.CheckResult("model/x", 1.0, 1e-5)
+    monkeypatch.setattr(verify, "gradcheck_suite", lambda seed: [*suite_results(seed), failing])
+    assert main(["gradcheck", "--seed", "0"]) == 1
+    assert "FAIL  model/x" in capsys.readouterr().out
 
 
 def test_errors_reported_with_nonzero_exit(tmp_path, capsys):

@@ -93,6 +93,19 @@ def test_apply_transform_preserves_shape_under_scaling():
                 assert out.shape == t.shape
 
 
+def test_apply_transform_rotates_non_square_image_without_zero_fill():
+    t = np.arange(1, 16 * 24 + 1, dtype=np.float64).reshape(1, 1, 16, 24)
+    square = RngStream(4).uniform((1, 1, 16, 16), 0, 1, dtype="double")
+    for rot90 in range(4):
+        tf = {"hflip": False, "vflip": False, "rot90": rot90, "scale": 1.0}
+        out = apply_transform(t, tf)
+        # odd turns become their even part: 1 -> 0, 3 -> 180 degrees
+        assert np.array_equal(out[0, 0], np.rot90(t[0, 0], rot90 & 2))
+        assert np.array_equal(np.sort(out, axis=None), np.sort(t, axis=None))
+        # a square image turns by the full rotation
+        assert np.array_equal(apply_transform(square, tf)[0, 0], np.rot90(square[0, 0], rot90))
+
+
 def test_augment_applies_same_transform_to_all_modalities():
     s = generate_phantom(9, 16, 16)
     pair = training_pairs([s], ("m1", "m3"), ("m2", "m4"))[0]

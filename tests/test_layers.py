@@ -3,10 +3,9 @@ import pytest
 
 from synnet.layers import (BN_EPS, conv2d_forward, conv2d_backward, zero_padded,
                            batchnorm_forward, batchnorm_backward, batchnorm_fold,
-                           relu_forward, relu_backward,
                            maxpool2x2_forward, maxpool2x2_backward,
                            unpool2x2_forward, unpool2x2_backward)
-from synnet.tensor import RngStream, ShapeError, ParameterError
+from synnet.tensor import RngStream, ShapeError, ParameterError, UsageError
 from synnet.verify import finite_diff, max_rel_err
 
 
@@ -163,10 +162,11 @@ def test_conv_forward_linearity_in_input():
 # ---------------------------------------------------------------------------
 
 def test_batchnorm_two_value_channel():
-    x = np.array([1.0, 3.0]).reshape(1, 1, 1, 2)
-    y, _, _, _ = batchnorm_forward(x, np.ones(1), np.zeros(1),
-                                   np.zeros(1), np.ones(1))
-    assert np.allclose(y[0, 0, 0], [-1.0, 1.0], atol=1e-5)
+    # normalised to (-1, 1), then ReLU; gamma -1 flips which value survives
+    x = np.array([1.0, 3.0, 1.0, 3.0]).reshape(1, 2, 1, 2)
+    y, _, _, _ = batchnorm_forward(x, np.array([1.0, -1.0]), np.zeros(2),
+                                   np.zeros(2), np.ones(2))
+    assert np.allclose(y[0, :, 0], [[0.0, 1.0], [1.0, 0.0]], atol=1e-5)
 
 
 def test_batchnorm_constant_channel_maps_to_beta():
@@ -180,11 +180,13 @@ def test_batchnorm_constant_channel_maps_to_beta():
 def test_batchnorm_output_moments():
     rng = RngStream(3)
     x = rng.uniform((4, 3, 8, 8), -2, 5, dtype="double")
-    y, _, _, _ = batchnorm_forward(x, np.ones(3), np.zeros(3),
+    # beta 4 lifts every normalised value above the ReLU's 0
+    y, _, _, _ = batchnorm_forward(x, np.ones(3), np.full(3, 4.0),
                                    np.zeros(3), np.ones(3))
+    assert y.min() > 0
     mean = y.mean(axis=(0, 2, 3))
     var = y.var(axis=(0, 2, 3))
-    assert np.allclose(mean, 0, atol=1e-12)
+    assert np.allclose(mean, 4, atol=1e-12)
     assert np.allclose(var, 1, atol=1e-4)   # shrunk slightly by eps
 
 
@@ -228,27 +230,104 @@ def test_batchnorm_train_rejects_single_value_channel():
 
 def test_batchnorm_backward_grad_sums_to_zero():
     # the normalized output is mean-free per channel, so input gradients
-    # must sum to zero per channel for any upstream gradient
+    # must sum to zero per channel for any upstream gradient, ReLU or not
     rng = RngStream(8)
     x = rng.uniform((3, 2, 4, 4), -1, 1, dtype="double")
     g = rng.uniform((3, 2, 4, 4), -1, 1, dtype="double")
-    _, tape, _, _ = batchnorm_forward(x, np.array([1.5, 0.5]), np.zeros(2),
+    y, tape, _, _ = batchnorm_forward(x, np.array([1.5, 0.5]), np.zeros(2),
                                       np.zeros(2), np.ones(2))
-    gx, _, gbeta = batchnorm_backward(tape, g)
+    passed = g * (y > 0)
+    gx, _, gbeta = batchnorm_backward(tape, g.copy())
     assert np.allclose(gx.sum(axis=(0, 2, 3)), 0, atol=1e-12)
-    assert np.allclose(gbeta, g.sum(axis=(0, 2, 3)))
+    assert np.allclose(gbeta, passed.sum(axis=(0, 2, 3)))
 
 
-# ---------------------------------------------------------------------------
-# activations
-# ---------------------------------------------------------------------------
+def _exact_zeros_case(dtype):
+    """(x, gamma, beta) whose gamma * x_hat + beta is exactly 0 at [0, :, 0, 0]
+    and [1, :, 2, 3] in the forward's op order, and random elsewhere."""
+    rng = RngStream(51)
+    x = rng.uniform((4, 3, 6, 5), -1, 1).astype(dtype)
+    x[1, :, 2, 3] = x[0, :, 0, 0]
+    gamma = np.array([0.7, -1.3, 1.1], dtype=dtype)
+    _, tape, _, _ = batchnorm_forward(x, gamma, np.zeros(3, dtype), np.zeros(3), np.ones(3))
+    beta = -(tape.x_hat[0, :, 0, 0] * gamma)          # x_hat does not depend on beta
+    return x, gamma, beta
 
-def test_relu_forward_and_subgradient_at_zero():
-    x = _img([[-1.0, 0.0], [2.0, -0.5]])
-    y, tape = relu_forward(x)
-    assert np.array_equal(y, _img([[0.0, 0.0], [2.0, 0.0]]))
-    g = relu_backward(tape, np.ones_like(x))
-    assert np.array_equal(g, _img([[0.0, 0.0], [1.0, 0.0]]))
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_relu_mask_is_rebuilt_bit_for_bit(dtype):
+    x, gamma, beta = _exact_zeros_case(dtype)
+    y, tape, _, _ = batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3))
+    # the forward's pre-activation, in its op order, is exactly 0 there
+    pre = tape.x_hat * gamma[None, :, None, None]
+    pre += beta[None, :, None, None]
+    assert not pre[0, :, 0, 0].any() and not pre[1, :, 2, 3].any()
+    assert np.array_equal(y, np.maximum(pre, 0))
+    g = np.ones_like(x)
+    batchnorm_backward(tape, g)
+    # grad_out is masked in place by the rebuilt mask: the ReLU's y > 0, and
+    # subgradient 0 where the pre-activation is exactly 0
+    assert _same_bits(g, (y > 0).astype(dtype))
+    assert not g[0, :, 0, 0].any() and not g[1, :, 2, 3].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_relu_backward_matches_textbook_formula(dtype):
+    x, gamma, beta = _exact_zeros_case(dtype)
+    rng = RngStream(52)
+    g = rng.uniform(x.shape, -1, 1).astype(dtype)
+    y, tape, _, _ = batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3))
+    x_hat, inv_std = tape.x_hat.astype(np.float64), tape.inv_std
+    passed = g * (y > 0)
+    m = x.size // 3
+    expect_gamma = (passed * x_hat).sum(axis=(0, 2, 3))
+    expect_beta = passed.sum(axis=(0, 2, 3))
+    expect = (gamma * inv_std)[None, :, None, None] * (
+        passed - (expect_beta / m)[None, :, None, None]
+        - x_hat * (expect_gamma / m)[None, :, None, None])
+    gx, gg, gb = batchnorm_backward(tape, g)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    assert gx.dtype == dtype and gg.dtype == gamma.dtype
+    assert max_rel_err(gg, expect_gamma) < tol and max_rel_err(gb, expect_beta) < tol
+    assert np.max(np.abs(gx - expect)) < tol * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_backward_chunks(dtype, monkeypatch):
+    # the backward runs over chunks of images sized by layers._L2_BYTES: the
+    # mask is bit-equal for any chunking; the per-channel sums add chunk
+    # partials, so they, and grad_in through them, agree to the dtype's
+    # rounding only
+    import synnet.layers as layers
+    x, gamma, beta = _exact_zeros_case(dtype)
+    g = RngStream(53).uniform(x.shape, -1, 1).astype(dtype)
+    per_image = x[0].size * (3 * x.itemsize + 1)
+    runs = []
+    for images in (len(x), 1, 3):                  # one chunk, chunks of 1, 3 + ragged 1
+        monkeypatch.setattr(layers, "_L2_BYTES", images * per_image)
+        _, tape, _, _ = batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3))
+        masked = g.copy()
+        runs.append((masked, *batchnorm_backward(tape, masked)))
+    tol = 1e-6 if dtype == np.float32 else 1e-14
+    for masked, gx, gg, gb in runs[1:]:
+        assert _same_bits(masked, runs[0][0])
+        for got, ref in ((gx, runs[0][1]), (gg, runs[0][2]), (gb, runs[0][3])):
+            assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_backward_consumes_conv_and_batchnorm_tapes():
+    rng = RngStream(54)
+    x = rng.uniform((2, 3, 4, 6), -1, 1)
+    y, ctape = conv2d_forward(x, rng.uniform((4, 3, 3, 3), -1, 1))
+    g = rng.uniform(y.shape, -1, 1)
+    conv2d_backward(ctape, g)
+    assert ctape.x_flat is None
+    with pytest.raises(UsageError, match="consumed"):
+        conv2d_backward(ctape, g)
+    _, btape, _, _ = batchnorm_forward(y, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
+    batchnorm_backward(btape, g)
+    with pytest.raises(UsageError, match="consumed"):
+        batchnorm_backward(btape, g)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +430,13 @@ def test_conv_padded_buffer_is_bit_equal_to_copying_path(in_c, out_c, k, dtype):
     w = rng.uniform((out_c, in_c, k, k), -1, 1).astype(dtype)
     g = rng.uniform((3, out_c, 6, 10), -1, 1).astype(dtype)
     y, tape = conv2d_forward(x, w)
-    gx, gw, _ = conv2d_backward(tape, g)
     flat, inner = _in_buffer(x, k)
     y_buf, tape_buf = conv2d_forward(inner, w, padded=flat)
     assert tape_buf.x_flat is flat
+    assert _same_bits(y, y_buf) and _same_bits(tape.x_flat, flat)
+    gx, gw, _ = conv2d_backward(tape, g)
     gflat, ginner = _in_buffer(g, k)
     gx_buf, gw_buf, _ = conv2d_backward(tape_buf, ginner, padded=gflat)
-    assert _same_bits(y, y_buf) and _same_bits(tape.x_flat, flat)
     assert _same_bits(gx, gx_buf) and _same_bits(gw, gw_buf)
 
 
@@ -401,7 +480,7 @@ def test_conv_rejects_padded_buffer_whose_interior_is_not_x(k):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_unpool_relu_and_batchnorm_backward_out_are_bit_equal(dtype):
+def test_unpool_and_batchnorm_out_are_bit_equal(dtype):
     rng = RngStream(44)
     # a conv output, channel-major as in the model, with exact zeros and -0.0
     x, _ = conv2d_forward(rng.uniform((2, 3, 8, 8), -1, 1).astype(dtype),
@@ -417,20 +496,13 @@ def test_unpool_relu_and_batchnorm_backward_out_are_bit_equal(dtype):
     with pytest.raises(ShapeError):
         unpool2x2_forward(pooled, idx, out=inner[:, 1:])
 
-    y, rtape = relu_forward(x)
-    y_in = x.copy()
-    y_out, rtape_out = relu_forward(y_in, out=y_in)
-    assert y_out is y_in and _same_bits(y, y_out)
-    assert np.array_equal(rtape.mask, rtape_out.mask)
-    g = rng.uniform(x.shape, -1, 1).astype(dtype)
-    gr = relu_backward(rtape, g)
-    g_in = g.copy()
-    assert relu_backward(rtape, g_in, out=g_in) is g_in and _same_bits(gr, g_in)
-
-    _, btape, _, _ = batchnorm_forward(x, np.ones(4, dtype), np.zeros(4, dtype),
-                                       np.zeros(4, dtype), np.ones(4, dtype))
-    gx, gg, gb = batchnorm_backward(btape, gr)
-    bflat, binner = zero_padded(x.shape, 3, dtype)
-    gx_out, gg_out, gb_out = batchnorm_backward(btape, gr, out=binner)
-    assert np.shares_memory(gx_out, bflat)
-    assert _same_bits(gx, gx_out) and _same_bits(gg, gg_out) and _same_bits(gb, gb_out)
+    # batchnorm centres x in place when handed it as `out`, as the model does
+    gamma = rng.uniform((4,), 0.5, 1.5).astype(dtype)
+    beta = rng.uniform((4,), -0.5, 0.5).astype(dtype)
+    y, btape, rm, rv = batchnorm_forward(x, gamma, beta, np.zeros(4), np.ones(4))
+    x_in = x.copy(order="K")
+    y_out, btape_out, rm_out, rv_out = batchnorm_forward(x_in, gamma, beta, np.zeros(4),
+                                                         np.ones(4), out=x_in)
+    assert btape_out.x_hat is x_in
+    assert _same_bits(y, y_out) and _same_bits(btape.x_hat, btape_out.x_hat)
+    assert _same_bits(rm, rm_out) and _same_bits(rv, rv_out)

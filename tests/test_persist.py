@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from synnet import persist
 from synnet.model import SynNetModel, Topology, build_model
@@ -270,6 +270,50 @@ def test_checkpoint_truncation_names_missing_field(tmp_path):
         f.write(raw[:len(raw) // 2])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def _corrupt(path, edit):
+    raw = bytearray(Path(path).read_bytes())
+    edit(raw)
+    Path(path).write_bytes(bytes(raw))
+
+
+def _set_ndim(raw):
+    # the first tensor's ndim follows its name length, name and dtype tag
+    start = raw.index(b"param.w") + len("param.w") + 1
+    raw[start:start + 4] = (33).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda raw: raw.__setitem__(raw.index(b"param.w"), 0xFF), "tensor 0 name"),
+    (lambda raw: raw.__setitem__(raw.index(b"lr = "), 0xC3), "config text"),
+    (_set_ndim, "ndim 33"),
+], ids=["name", "config-text", "ndim"])
+def test_checkpoint_corrupt_field_is_named(tmp_path, edit, field):
+    path = str(tmp_path / "c")
+    save_checkpoint(path, _ckpt("single"))
+    _corrupt(path, edit)
+    with pytest.raises(CheckpointError, match=field):
+        load_checkpoint(path)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(min_value=0, max_value=8 * 4096))
+def test_checkpoint_single_bit_flip_fails_by_name_or_loads(tmp_path, bit):
+    # any other exception fails the test
+    path = str(tmp_path / "flip")
+    save_checkpoint(path, _ckpt("single"))
+
+    def flip(raw):
+        b = bit % (8 * len(raw))
+        raw[b // 8] ^= 1 << b % 8
+
+    _corrupt(path, flip)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
 
 
 def test_checkpoint_rejects_unsupported_version(tmp_path):

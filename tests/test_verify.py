@@ -9,8 +9,7 @@ from synnet.metrics import ssim_standard
 from synnet.tensor import RngStream, ParameterError
 from synnet.verify import (conv_oracle, maxpool_oracle, ssim_standard_oracle,
                            ssim_map_oracle, unpool_oracle, unpool_grad_oracle,
-                           finite_diff, max_rel_err, gradcheck_suite,
-                           format_report)
+                           finite_diff, max_rel_err, format_report)
 
 
 def test_conv_oracle_agrees_with_fast_path():
@@ -147,8 +146,8 @@ def test_max_rel_err_basics():
         == pytest.approx(1e-13 / 1e-12)
 
 
-def test_gradcheck_suite_all_pass():
-    results = gradcheck_suite(seed=0)
+def test_gradcheck_suite_all_pass(suite_results):
+    results = suite_results(0)
     assert len(results) >= 12
     failed = [r.name for r in results if not r.passed]
     assert failed == []
@@ -170,8 +169,8 @@ def test_gradcheck_suite_detects_perturbed_gradient():
     assert max_rel_err(gx * 1.01, numeric) > 1e-3   # 1% perturbation caught
 
 
-def test_format_report_layout():
-    results = gradcheck_suite(seed=1)
+def test_format_report_layout(suite_results):
+    results = suite_results(1)
     text = format_report(results)
     lines = text.splitlines()
     assert len(lines) == len(results) + 1
@@ -179,6 +178,8 @@ def test_format_report_layout():
     assert lines[-1].endswith("checks passed")
 
 
-def test_gradcheck_suite_seed_changes_data_not_verdict():
+def test_gradcheck_suite_seed_changes_data_not_verdict(suite_results):
     for seed in (0, 1):
-        assert all(r.passed for r in gradcheck_suite(seed))
+        assert all(r.passed for r in suite_results(seed))
+    errs = [{r.name: r.max_err for r in suite_results(seed)} for seed in (0, 1)]
+    assert errs[0]["conv3x3/input"] != errs[1]["conv3x3/input"]
