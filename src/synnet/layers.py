@@ -2,8 +2,8 @@
 
 Conventions fixed here (the network blocks are assembled in `model`):
   - convolution is cross-correlation (no kernel flip), "same" zero padding;
-    when in_c >= out_c its per-offset GEMMs run over chunks of images that
-    fit in one core's L2 (see the convolution section);
+    both of its GEMM paths, and its weight gradient, run over chunks of
+    images that fit in one core's L2 (see the convolution section);
   - batchnorm has one mode, by the batch statistics, and includes the
     block's ReLU: the forward applies it in place and keeps no mask, and
     the backward rebuilds the mask from x_hat, gamma and beta.  At
@@ -63,15 +63,23 @@ from .tensor import ShapeError, ParameterError, UsageError, check_4d
 # GEMMs over shifted views, with no im2col copy.  The result has wp columns
 # per output row; the last 2p of them are junk and are dropped.
 #
-# When in_c >= out_c the k*k partial products are summed into an
-# accumulator, one tap at a time.  Over a whole paper-scale batch that
-# accumulator is tens of MB, and each tap streams it from memory again.  So
-# the taps run over chunks of images instead, each chunk as many images as
-# fit their accumulator, partial product and input rows,
-# (2*out_c + in_c)*h*wp*itemsize bytes per image, into _L2_BYTES.  Small
+# When in_c < out_c the k*k views are copied into one stack of k*k*in_c
+# rows and one GEMM runs over it; otherwise the k*k partial products are
+# summed into an accumulator, one tap at a time.  Over a whole paper-scale
+# batch that stack or accumulator is tens of MB, and each tap streams it
+# from memory again.  So both paths run over chunks of images instead, each
+# chunk as many images as fit their working rows (the stack and the output,
+# or the accumulator, partial product and input) into _L2_BYTES.  Small
 # layers fit the whole batch in one chunk: a loop over single images made
 # them several times slower.  Each image's GEMMs and tap order do not
-# depend on the chunk, so neither do the results.
+# depend on the chunk, so neither do the forward and the input gradient.
+#
+# The weight gradient runs its k*k taps inside the same kind of chunk loop,
+# so that a chunk's input rows and grad_out stay in L2 across all taps.  Its
+# sum over images is taken per chunk in the input's dtype, and the chunk sums
+# are added in double and rounded once.  A layer that fits one chunk rounds
+# its one partial sum back exactly, so its result is that of one sum over
+# the batch.
 # ---------------------------------------------------------------------------
 
 _L2_BYTES = 2 << 20     # 2 MiB, one core's private L2 on the benchmark host
@@ -81,7 +89,7 @@ def _image_chunks(n: int, per_image: int):
     """Slices of at most as many of n images as fit per_image bytes each
     into _L2_BYTES, and at least one."""
     chunk = min(n, max(1, _L2_BYTES // per_image))
-    return [slice(lo, lo + chunk) for lo in range(0, n, chunk)]
+    return [slice(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
 @dataclass
@@ -162,12 +170,22 @@ def _correlate(flat: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
     wp = wd + k - 1
     span = h * wp - (k - 1)
     y = np.empty((n, out_c, h * wp), dtype=flat.dtype)
-    if in_c < out_c:
+    if k * in_c == 1:
+        # K = 1: the GEMM is an outer product, which multiply forms faster
+        np.multiply(w.reshape(out_c, 1), flat, out=y)
+    elif in_c < out_c:
         # one GEMM over the stacked views: copying in_c*k*k rows costs less
         # than k*k passes over out_c accumulator rows
-        views = _shifted(flat, k, wp, span)
-        np.matmul(w.reshape(out_c, -1), np.stack(views, axis=2).reshape(n, -1, span),
-                  out=y[:, :, :span])
+        kk = k * k
+        # stack and output rows of one chunk fit in L2
+        chunks = _image_chunks(n, (kk * in_c + out_c) * span * flat.itemsize)
+        stack = np.empty((chunks[0].stop, in_c, kk, span), dtype=flat.dtype)
+        w_rows = w.reshape(out_c, -1)
+        for sl in chunks:
+            st = stack[:sl.stop - sl.start]
+            for t, view in enumerate(_shifted(flat[sl], k, wp, span)):
+                st[:, :, t] = view
+            np.matmul(w_rows, st.reshape(len(st), -1, span), out=y[sl, :, :span])
     else:
         # contiguous per-offset weights: a strided one makes matmul slower
         taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, out_c, in_c)
@@ -206,12 +224,31 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     return y, ConvTape(flat, w, x.shape, b is not None)
 
 
-def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | None = None):
+def _weight_grad(flat: np.ndarray, g: np.ndarray, k: int, wp: int, span: int) -> np.ndarray:
+    """(out_c, in_c, k*k) weight gradient, summed over images, in double.
+
+    flat is the padded flat input and g the (n, out_c, span) view of the
+    padded grad_out.  The views of flat made here are gone on return.
+    """
+    n, in_c, _ = flat.shape
+    out_c = g.shape[1]
+    grad_w = np.zeros((out_c, in_c, k * k))
+    # input and grad_out rows of one chunk fit in L2 across all k*k taps
+    for sl in _image_chunks(n, (in_c + out_c) * span * flat.itemsize):
+        gs = g[sl]
+        for t, view in enumerate(_shifted(flat[sl], k, wp, span)):
+            grad_w[:, :, t] += np.matmul(gs, view.transpose(0, 2, 1)).sum(axis=0)
+    return grad_w
+
+
+def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | None = None,
+                    grad_input: bool = True):
     """Gradients w.r.t. input, weights and bias (None if the forward had none).
 
     Consumes the tape: its input is dropped once grad_w is formed, and a
     second backward on it raises UsageError.  `padded` is grad_out's buffer
     from `zero_padded` (grad_out its interior), used instead of a padded copy.
+    With `grad_input` False the input gradient is not formed and is None.
     """
     w = tape.weights
     out_c, in_c, k, _ = w.shape
@@ -227,15 +264,15 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
     # grad_out padded like the input: row width wp, zeros in the junk columns
     gflat = _padded_input(grad_out, p, padded)
     g = gflat[:, :, p * wp + p:p * wp + p + span]
-    grad_w = np.stack([np.matmul(g, view.transpose(0, 2, 1)).sum(axis=0)
-                       for view in _shifted(tape.x_flat, k, wp, span)], axis=-1)
+    grad_w = _weight_grad(tape.x_flat, g, k, wp, span).reshape(w.shape).astype(w.dtype)
     tape.x_flat = None      # the input is freed before the input gradient is allocated
     grad_b = grad_out.sum(axis=(0, 2, 3)).astype(w.dtype) if tape.has_bias else None
+    if not grad_input:
+        return None, grad_w, grad_b
     # the input gradient is the same correlation of the padded grad_out with
     # the kernel rotated 180 degrees and its in/out channels swapped
     w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(gflat.dtype, copy=False)
-    grad_in = _correlate(gflat, w_rot, h, wd)
-    return grad_in, grad_w.reshape(w.shape).astype(w.dtype), grad_b
+    return _correlate(gflat, w_rot, h, wd), grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,8 @@ class SynNetModel:
                     g += skip_grads[a][i]
                 tapes.append(g)
                 del g
-                g = _block_backward(tapes, add, f"enc.arm{a}.block{i}")
+                # nothing reads the input gradient of an arm's first block
+                g = _block_backward(tapes, add, f"enc.arm{a}.block{i}", grad_input=i > 0)
 
         return grads
 
@@ -365,8 +366,9 @@ def _block(params, state, prefix, x, mode, padded=None):
     return x, [ct, bt]
 
 
-def _block_backward(tapes, add, prefix):
-    """Backward of `_block`; adds the parameter gradients, returns the input's.
+def _block_backward(tapes, add, prefix, grad_input=True):
+    """Backward of `_block`; adds the parameter gradients, returns the input's
+    (None if `grad_input` is False).
     `tapes` is the block's [conv, batchnorm] tapes with the gradient of the
     block's output pushed on top. Each is popped and freed once used, so the
     incoming gradient is gone before the conv's zero-padded gradient buffer,
@@ -379,7 +381,7 @@ def _block_backward(tapes, add, prefix):
     gflat, inner = layers.zero_padded(g.shape, ct.weights.shape[-1], g.dtype)
     inner[...] = g
     del g
-    g, grad_w, _ = layers.conv2d_backward(ct, inner, padded=gflat)
+    g, grad_w, _ = layers.conv2d_backward(ct, inner, padded=gflat, grad_input=grad_input)
     add(f"{prefix}.conv.weight", grad_w)
     return g
 

@@ -393,11 +393,18 @@ def unpack_training(cp: Checkpoint, lr: float, momentum: float):
     _check_tensors("state", state, model.state_shapes())
     if velocity:  # empty until the first SGD step
         _check_tensors("velocity", velocity, param_shapes)
-    for name in counters:
-        if cp.tensors.get(name, np.empty(0)).shape != (1,):
-            raise CheckpointError(f"missing or malformed tensor {name}")
-    opt = OptimState(velocity=velocity,
-                     iteration=int(cp.tensors["optim.iteration"][0]),
-                     epoch=int(cp.tensors["optim.epoch"][0]),
+    iteration, epoch = (_counter(cp.tensors, name) for name in counters)
+    opt = OptimState(velocity=velocity, iteration=iteration, epoch=epoch,
                      lr=lr, momentum=momentum)
     return params, state, opt
+
+
+def _counter(tensors: dict, name: str) -> int:
+    """The whole number >= 0 held by the one-element tensor `name`."""
+    t = tensors.get(name, np.empty(0))
+    if t.shape != (1,):
+        raise CheckpointError(f"missing or malformed tensor {name}")
+    v = float(t[0])
+    if not (v >= 0 and v.is_integer()):     # also false for NaN and inf
+        raise CheckpointError(f"tensor {name} holds {v!r}, not a whole number >= 0")
+    return int(v)

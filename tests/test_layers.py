@@ -120,29 +120,109 @@ def test_conv_backward_wide_nonsquare_matches_finite_diff(in_c, out_c):
     assert max_rel_err(gw, num_w) < 1e-7
 
 
-def test_conv_per_offset_chunks_are_bit_equal(monkeypatch):
-    # in_c == out_c puts forward and input gradient on the per-offset path,
-    # which runs its GEMMs over chunks of images sized by layers._L2_BYTES
+def _grad_w_oracle(x, cot, k):
+    """Direct sums over images and positions of cot times the explicitly
+    zero-padded input's window at each kernel offset, in double."""
+    p, (h, wd) = k // 2, x.shape[2:]
+    xp = np.pad(np.asarray(x, np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    return np.stack([np.einsum("nohw,nihw->oi", np.asarray(cot, np.float64),
+                               xp[:, :, u:u + h, v:v + wd])
+                     for u in range(k) for v in range(k)], axis=-1).reshape(
+        cot.shape[1], x.shape[1], k, k)
+
+
+def _check_conv_chunkings(monkeypatch, x, w, cot, per_images):
+    """Run one conv forward and backward with layers._L2_BYTES set for chunks
+    of 1, of 2 + a ragged last one, and of all images, by each per-image size
+    in turn.  The forward and the input gradient must be bit-equal across
+    chunkings; grad_w sums chunk partials, so it agrees to the dtype's
+    rounding.  In double all three match the oracles to 1e-12."""
     import synnet.layers as layers
     from synnet.verify import conv_oracle
+    runs = []
+    for per_image in per_images:
+        for images in (1, 2, len(x)):
+            monkeypatch.setattr(layers, "_L2_BYTES", images * per_image)
+            y, tape = conv2d_forward(x, w)
+            gx, gw, _ = conv2d_backward(tape, cot)
+            runs.append((y, gx, gw))
+    y0, gx0, gw0 = runs[0]
+    tol = 1e-6 if x.dtype == np.float32 else 1e-12
+    for y, gx, gw in runs[1:]:
+        assert _same_bits(y, y0) and _same_bits(gx, gx0)
+        assert np.max(np.abs(gw - gw0)) <= tol * np.max(np.abs(gw0))
+    if x.dtype == np.float64:
+        zero = np.zeros(w.shape[0])
+        w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        gw_ref = _grad_w_oracle(x, cot, w.shape[-1])
+        assert max_rel_err(y0, conv_oracle(x, w, zero)) < 1e-12
+        assert max_rel_err(gx0, conv_oracle(cot, w_rot, np.zeros(w.shape[1]))) < 1e-12
+        for _, _, gw in runs:
+            assert max_rel_err(gw, gw_ref) < 1e-12
+
+
+def test_conv_per_offset_chunks_are_bit_equal(monkeypatch):
+    # in_c == out_c puts forward and input gradient on the per-offset path,
+    # which runs its GEMMs over chunks of images sized by layers._L2_BYTES;
+    # grad_w runs its taps over chunks of its own size
     n, c, h, wd = 5, 3, 6, 10
     rng = RngStream(13)
     x = rng.uniform((n, c, h, wd), -1, 1, dtype="double")
     w = rng.uniform((c, c, 3, 3), -1, 1, dtype="double")
     cot = rng.uniform((n, c, h, wd), -1, 1, dtype="double")
-    per_image = (2 * c + c) * h * (wd + 2) * x.itemsize
-    runs = []
-    for images in (1, 2, n):                   # chunks of 1, of 2 + ragged 1, one chunk
-        monkeypatch.setattr(layers, "_L2_BYTES", images * per_image)
-        y, tape = conv2d_forward(x, w)
-        gx, _, _ = conv2d_backward(tape, cot)
-        runs.append((y, gx))
-    for y, gx in runs[1:]:
-        assert np.array_equal(y, runs[0][0]) and np.array_equal(gx, runs[0][1])
-    zero = np.zeros(c)
-    w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    assert max_rel_err(runs[0][0], conv_oracle(x, w, zero)) < 1e-12
-    assert max_rel_err(runs[0][1], conv_oracle(cot, w_rot, zero)) < 1e-12
+    per_offset = (2 * c + c) * h * (wd + 2) * x.itemsize
+    grad_w = (c + c) * (h * (wd + 2) - 2) * x.itemsize
+    _check_conv_chunkings(monkeypatch, x, w, cot, (per_offset, grad_w))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv_stacked_chunks_are_bit_equal(dtype, monkeypatch):
+    # in_c < out_c puts the forward on the stacked path, one GEMM per chunk
+    # of images over a stack of the 9 shifted views, sized by _L2_BYTES
+    n, in_c, out_c, h, wd = 5, 2, 5, 6, 10
+    rng = RngStream(14)
+    x = rng.uniform((n, in_c, h, wd), -1, 1).astype(dtype)
+    w = rng.uniform((out_c, in_c, 3, 3), -1, 1).astype(dtype)
+    cot = rng.uniform((n, out_c, h, wd), -1, 1).astype(dtype)
+    span = h * (wd + 2) - 2
+    stacked = (9 * in_c + out_c) * span * x.itemsize
+    grad_w = (in_c + out_c) * span * x.itemsize
+    _check_conv_chunkings(monkeypatch, x, w, cot, (stacked, grad_w))
+
+
+@pytest.mark.parametrize("k, out_c", [(1, 1), (3, 5)], ids=["1x1-head", "3x3"])
+def test_conv_backward_frees_its_input_before_the_input_gradient(k, out_c, monkeypatch):
+    import weakref
+    import synnet.layers as layers
+    rng = RngStream(15)
+    x = rng.uniform((3, 4, 6, 10), -1, 1)
+    _, tape = conv2d_forward(x, rng.uniform((out_c, 4, k, k), -1, 1))
+    buf = tape.x_flat
+    while isinstance(buf.base, np.ndarray):     # a 1x1 tape's x_flat is a view of x
+        buf = buf.base
+    held = weakref.ref(buf)
+    del x, buf
+    correlate, calls = layers._correlate, []
+
+    def check_freed(*args):
+        assert held() is None, "the tape's input is alive at the input gradient"
+        calls.append(1)
+        return correlate(*args)
+
+    monkeypatch.setattr(layers, "_correlate", check_freed)
+    gx, _, _ = conv2d_backward(tape, rng.uniform((3, out_c, 6, 10), -1, 1))
+    assert calls and gx.shape == (3, 4, 6, 10)
+
+
+def test_conv_backward_can_skip_the_input_gradient():
+    rng = RngStream(16)
+    x = rng.uniform((2, 1, 6, 8), -1, 1)
+    w = rng.uniform((4, 1, 3, 3), -1, 1)
+    g = rng.uniform((2, 4, 6, 8), -1, 1)
+    _, gw, _ = conv2d_backward(conv2d_forward(x, w)[1], g)
+    _, tape = conv2d_forward(x, w)
+    gx, gw_only, _ = conv2d_backward(tape, g, grad_input=False)
+    assert gx is None and _same_bits(gw_only, gw) and tape.x_flat is None
 
 
 def test_conv_forward_linearity_in_input():

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,15 @@ def test_unpack_rejects_missing_optimizer_counter():
     cp = _packed()
     del cp.tensors["optim.epoch"]
     with pytest.raises(CheckpointError, match=r"optim\.epoch"):
+        unpack_training(cp, 0.01, 0.9)
+
+
+@pytest.mark.parametrize("name", ["optim.iteration", "optim.epoch"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -3.0, 2.5], ids=["nan", "inf", "negative", "fraction"])
+def test_unpack_rejects_counter_that_is_not_a_whole_number(name, value):
+    cp = _packed()
+    cp.tensors[name] = np.array([value])
+    with pytest.raises(CheckpointError, match=rf"tensor {re.escape(name)} holds"):
         unpack_training(cp, 0.01, 0.9)
 
 
