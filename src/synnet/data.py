@@ -221,12 +221,14 @@ def load_pgm(path: str) -> np.ndarray:
     if magic != b"P5":
         raise PgmParseError(f"bad magic {magic!r} at byte {off}")
     fields = []
-    for _ in range(3):
+    for name in ("width", "height", "maxval"):
         tok, off = token()
         try:
             fields.append(int(tok))
         except ValueError:
             raise PgmParseError(f"non-numeric header field {tok!r} at byte {off}")
+        if name != "maxval" and fields[-1] <= 0:
+            raise PgmParseError(f"non-positive {name} {fields[-1]} at byte {off}")
     w, h, maxval = fields
     if maxval != 255:
         raise PgmParseError(f"unsupported maxval {maxval} at byte {off}")
@@ -290,11 +292,16 @@ def write_dataset(root: str, count: int, h: int, w: int, seed: int) -> DatasetMa
 
 
 def load_manifest(root: str) -> DatasetManifest:
+    """The manifest of a dataset directory; a malformed one raises
+    ParameterError naming its file and line."""
     path = os.path.join(root, "manifest.txt")
     ids, h, w = [], None, None
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ParameterError(f"{path}:{lineno}: not UTF-8 text") from None
             if not line:
                 continue
             parts = line.split("\t")
@@ -306,11 +313,16 @@ def load_manifest(root: str) -> DatasetManifest:
                 raise ParameterError(
                     f"{path}:{lineno}: image size must be integers, got "
                     f"{parts[1]!r} x {parts[2]!r}") from None
+            if hh <= 0 or ww <= 0:
+                raise ParameterError(f"{path}:{lineno}: image size must be positive, "
+                                     f"got {hh} x {ww}")
             if h is None:
                 h, w = hh, ww
             elif (hh, ww) != (h, w):
                 raise ParameterError(f"{path}:{lineno}: inconsistent image size")
             ids.append(sid)
+    if not ids:
+        raise ParameterError(f"{path}: no samples")
     return DatasetManifest(root, ids, h, w)
 
 

@@ -3,7 +3,8 @@
 Conventions fixed here (the network blocks are assembled in `model`):
   - convolution is cross-correlation (no kernel flip), "same" zero padding;
     both of its GEMM paths, and its weight gradient, run over chunks of
-    images that fit in one core's L2 (see the convolution section);
+    images that fit in one core's L2, and each chunk's result is written
+    straight into the output (see the convolution section);
   - batchnorm has one mode, by the batch statistics, and includes the
     block's ReLU: the forward applies it in place and keeps no mask, and
     the backward rebuilds the mask from x_hat, gamma and beta.  At
@@ -25,8 +26,11 @@ checks its inputs once, and training checks its predictions.
 Every forward returns a tape carrying exactly what its backward needs:
   - conv: its zero-padded input, rows flattened (`x_flat`); a 1x1 conv's
     tape references its input rather than a copy, so that input must not
-    change until the backward has run;
-  - batchnorm: x_hat, the per-channel 1/std, gamma and beta;
+    change until the backward has run.  With `keep_input=False` the tape
+    keeps no input, and the caller sets the rebuilt one as `x_flat` before
+    the backward (the model does so for decoder and head convs);
+  - batchnorm: x_hat, the per-channel 1/std, gamma and beta, from which
+    `batchnorm_output` rebuilds the forward's output bit for bit;
   - pool and unpool: the argmax offsets, one uint8 per pooled value.
 Conv and batchnorm tapes are consumed by their backward, which frees the
 buffers they hold as soon as it can: the conv backward drops its input once
@@ -73,6 +77,9 @@ from .tensor import ShapeError, ParameterError, UsageError, check_4d
 # layers fit the whole batch in one chunk: a loop over single images made
 # them several times slower.  Each image's GEMMs and tap order do not
 # depend on the chunk, so neither do the forward and the input gradient.
+# Each chunk's rows, junk columns and all, are then written into the output
+# without them (adding the bias in the same pass), so no whole-batch
+# correlation buffer is formed and copied.
 #
 # The weight gradient runs its k*k taps inside the same kind of chunk loop,
 # so that a chunk's input rows and grad_out stay in L2 across all taps.  Its
@@ -160,19 +167,32 @@ def _shifted(flat: np.ndarray, k: int, wp: int, span: int):
     return [flat[:, :, u * wp + v:u * wp + v + span] for u in range(k) for v in range(k)]
 
 
-def _correlate(flat: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
-    """Same-padded cross-correlation of a padded flat input (n, in_c, (h+2p)*(wd+2p)).
+def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None) -> np.ndarray:
+    """Same-padded cross-correlation of a padded flat input (n, in_c, (h+2p)*(wd+2p))
+    into `out`, an (n, out_c, h, wd) array of any strides, plus `bias` (broadcast
+    per output channel) if given; returns out.
 
-    Returns an (n, out_c, h, wd) view that skips the junk columns.
+    Each chunk of images is correlated into a chunk-sized buffer of wp columns
+    per row, then written into out without its junk columns, adding the bias in
+    the same pass.
     """
-    n = flat.shape[0]
-    out_c, in_c, k, _ = w.shape
+    n, out_c, h, wd = out.shape
+    in_c, k = w.shape[1], w.shape[2]
     wp = wd + k - 1
     span = h * wp - (k - 1)
-    y = np.empty((n, out_c, h * wp), dtype=flat.dtype)
+
+    def emit(sl, rows):
+        rows = rows.reshape(len(rows), out_c, h, wp)[..., :wd]
+        if bias is None:
+            np.copyto(out[sl], rows)
+        else:
+            np.add(rows, bias, out=out[sl])
+
     if k * in_c == 1:
         # K = 1: the GEMM is an outer product, which multiply forms faster
-        np.multiply(w.reshape(out_c, 1), flat, out=y)
+        np.multiply(w.reshape(1, out_c, 1, 1), flat.reshape(n, 1, h, wd), out=out)
+        if bias is not None:
+            out += bias
     elif in_c < out_c:
         # one GEMM over the stacked views: copying in_c*k*k rows costs less
         # than k*k passes over out_c accumulator rows
@@ -180,33 +200,40 @@ def _correlate(flat: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
         # stack and output rows of one chunk fit in L2
         chunks = _image_chunks(n, (kk * in_c + out_c) * span * flat.itemsize)
         stack = np.empty((chunks[0].stop, in_c, kk, span), dtype=flat.dtype)
+        rows = np.empty((chunks[0].stop, out_c, h * wp), dtype=flat.dtype)
         w_rows = w.reshape(out_c, -1)
         for sl in chunks:
-            st = stack[:sl.stop - sl.start]
+            st, r = stack[:sl.stop - sl.start], rows[:sl.stop - sl.start]
             for t, view in enumerate(_shifted(flat[sl], k, wp, span)):
                 st[:, :, t] = view
-            np.matmul(w_rows, st.reshape(len(st), -1, span), out=y[sl, :, :span])
+            np.matmul(w_rows, st.reshape(len(st), -1, span), out=r[:, :, :span])
+            emit(sl, r)
     else:
         # contiguous per-offset weights: a strided one makes matmul slower
         taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, out_c, in_c)
         # accumulator, partial product and input rows of one chunk fit in L2
         chunks = _image_chunks(n, (2 * out_c + in_c) * h * wp * flat.itemsize)
+        rows = np.empty((chunks[0].stop, out_c, h * wp), dtype=flat.dtype)
         part = np.empty((chunks[0].stop, out_c, span), dtype=flat.dtype)
         for sl in chunks:
-            head = y[sl, :, :span]
+            r = rows[:sl.stop - sl.start]
+            head = r[:, :, :span]
             views = _shifted(flat[sl], k, wp, span)
             np.matmul(taps[0], views[0], out=head)
             for tap, view in zip(taps[1:], views[1:]):
                 head += np.matmul(tap, view, out=part[:len(head)])
-    return y.reshape(n, out_c, h, wp)[..., :wd]
+            emit(sl, r)
+    return out
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
-                   padded: np.ndarray | None = None):
+                   padded: np.ndarray | None = None, keep_input: bool = True):
     """Same-padded cross-correlation plus an optional per-output-channel bias.
 
     `padded` is x's buffer from `zero_padded` (x its interior), kept as the
-    tape's `x_flat` instead of a padded copy.
+    tape's `x_flat` instead of a padded copy.  With `keep_input` False the
+    tape keeps no input: the caller rebuilds it bit for bit and sets it as
+    the tape's `x_flat` before the backward.
     """
     check_4d(x, "x")
     out_c, in_c, k = _check_conv_params(w, b)
@@ -216,12 +243,9 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     flat = _padded_input(x, k // 2, padded)
     # channel-major memory, (out_c, n, h, w): batchnorm reduces per channel
     y = np.empty((out_c, n, h, wd), dtype=x.dtype).transpose(1, 0, 2, 3)
-    corr = _correlate(flat, w.astype(x.dtype, copy=False), h, wd)
-    if b is None:
-        np.copyto(y, corr)
-    else:
-        np.add(corr, b.astype(x.dtype)[None, :, None, None], out=y)
-    return y, ConvTape(flat, w, x.shape, b is not None)
+    bias = None if b is None else b.astype(x.dtype)[None, :, None, None]
+    _correlate(flat, w.astype(x.dtype, copy=False), y, bias)
+    return y, ConvTape(flat if keep_input else None, w, x.shape, b is not None)
 
 
 def _weight_grad(flat: np.ndarray, g: np.ndarray, k: int, wp: int, span: int) -> np.ndarray:
@@ -258,8 +282,11 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
             f"grad_out shape {grad_out.shape} != forward output ({n},{out_c},{h},{wd})"
         )
     if tape.x_flat is None:
-        raise UsageError("conv tape already consumed by a backward")
+        raise UsageError("conv tape holds no input: consumed by a backward, "
+                         "or made with keep_input False and not rebuilt")
     p, wp = k // 2, wd + k - 1
+    if tape.x_flat.shape != (n, c, (h + 2 * p) * wp):
+        raise ShapeError(f"tape input {tape.x_flat.shape} != ({n},{c},{(h + 2 * p) * wp})")
     span = h * wp - (k - 1)
     # grad_out padded like the input: row width wp, zeros in the junk columns
     gflat = _padded_input(grad_out, p, padded)
@@ -272,7 +299,8 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
     # the input gradient is the same correlation of the padded grad_out with
     # the kernel rotated 180 degrees and its in/out channels swapped
     w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(gflat.dtype, copy=False)
-    return _correlate(gflat, w_rot, h, wd), grad_w, grad_b
+    grad_in = np.empty((n, c, h, wd), dtype=gflat.dtype)
+    return _correlate(gflat, w_rot, grad_in), grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +321,13 @@ class BatchNormTape:
 
 def _per_channel(v: np.ndarray, dtype) -> np.ndarray:
     return v.astype(dtype, copy=False)[None, :, None, None]
+
+
+def _scale_shift_relu(x_hat, gamma, beta, out):
+    """max(x_hat * gamma + beta, 0) into `out` (a new array if None)."""
+    y = np.multiply(x_hat, _per_channel(gamma, x_hat.dtype), out=out)
+    y += _per_channel(beta, x_hat.dtype)
+    return np.maximum(y, 0, out=y)
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, out=None):
@@ -318,13 +353,22 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, out=None):
     var = sq.mean(axis=(0, 2, 3))                        # biased
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat *= inv_std[None, :, None, None]
-    y = np.multiply(x_hat, _per_channel(gamma, x.dtype), out=sq)
-    y += _per_channel(beta, x.dtype)
-    np.maximum(y, 0, out=y)
+    y = _scale_shift_relu(x_hat, gamma, beta, sq)
     new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean
     new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var
     return (y, BatchNormTape(x_hat, inv_std, gamma, beta),
             new_mean.astype(running_mean.dtype), new_var.astype(running_var.dtype))
+
+
+def batchnorm_output(tape: BatchNormTape, out: np.ndarray | None = None) -> np.ndarray:
+    """The forward's output y = max(x_hat * gamma + beta, 0), rebuilt from its
+    tape by the same float ops, so bit for bit; into `out` if given, else into
+    a new array laid out as x_hat.  The tape is not consumed."""
+    if tape.x_hat is None:
+        raise UsageError("batchnorm tape already consumed by a backward")
+    if out is not None and out.shape != tape.x_hat.shape:
+        raise ShapeError(f"out {out.shape} != batchnorm output {tape.x_hat.shape}")
+    return _scale_shift_relu(tape.x_hat, tape.gamma, tape.beta, out)
 
 
 def batchnorm_fold(w, gamma, beta, running_mean, running_var):

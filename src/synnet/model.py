@@ -11,18 +11,29 @@ Block:          conv3x3 -> batchnorm -> ReLU (`_block`), where
                 the conv (`layers.batchnorm_fold`).
 Encoder stage:  block -> maxpool2x2 (indices kept).
 Decoder stage:  unpool (matched encoder indices) -> concat matched encoder
-                pre-pool feature maps -> block.  The unpool and the skip
-                copies write straight into the block conv's zero-padded
-                input buffer (`layers.zero_padded`); each skip map is freed
-                after its copy into the last decoder arm that reads it.
+                pre-pool feature maps -> block.  `_decoder_input` writes the
+                unpool and the skip maps straight into the block conv's
+                zero-padded input buffer (`layers.zero_padded`); each skip
+                map is freed after its copy into the last decoder arm that
+                reads it.
 Synthesis head: conv1x1 with bias, linear output.
 
-Trace:          per block, its conv tape (the padded input) and batchnorm
-                tape (x_hat, no ReLU mask); per pool, its argmax offsets;
-                per head and fuse conv, its input.  `backward` pops each
-                tape as it goes and each layer backward consumes its tape,
-                so a trace is used once and the backward frees the tape
-                behind it.
+Trace:          per block, its conv tape and batchnorm tape (x_hat, gamma,
+                beta; no ReLU mask); per pool, its argmax offsets; per fuse
+                conv, its input.  An encoder block's conv tape keeps its
+                padded input.  A decoder block's and a head's conv tape keep
+                none, since the backward rebuilds each bit for bit just
+                before its conv backward: a decoder input by `_decoder_input`
+                from the unpool source, which the decoder tape keeps (a
+                quarter of the unpooled size), and the skip maps, each
+                max(x_hat*gamma + beta, 0) of its encoder block's batchnorm
+                tape (`layers.batchnorm_output`); a head's input from the
+                last decoder block's batchnorm tape, before that block's
+                backward writes over its x_hat.  This is the
+                recompute-instead-of-store trade of Chen et al. (2016,
+                arXiv:1604.06174).  `backward` pops each tape as it goes
+                and each layer backward consumes its tape, so a trace is
+                used once and the backward frees the tape behind it.
 
 Block convs have no bias: batchnorm subtracts the per-channel mean, so a
 bias in front of it has an exactly zero gradient and never learns. The
@@ -111,7 +122,7 @@ class ForwardTrace:
     """Tapes of one train-mode forward; `backward` pops them, so it is used once."""
     enc_tapes: list          # [arm][level] -> (block tapes, pool tape)
     fuse_tapes: list         # per decoder arm (or [None] for siso)
-    dec_tapes: list          # [arm][k] -> (unpool tape, split, block tapes)
+    dec_tapes: list          # [arm][k] -> (unpool source, unpool tape, split, block tapes)
     head_tapes: list
     crop: data.CropRecord    # where the predictions sit in the padded frame
     consumed: bool = False
@@ -248,30 +259,60 @@ class SynNetModel:
             arm_dec = []
             iarm = t.index_arm(d)
             for i in reversed(range(t.depth)):
-                n, up_c, hh, ww = idxs[iarm][i].shape
-                split = [up_c] + [t.channels[i]] * len(t.skip_arms(d))
-                bounds = np.cumsum(split)
-                # the concat is the interior of the block conv's padded input
-                flat, cat = layers.zero_padded((n, bounds[-1], 2 * hh, 2 * ww), 3, x.dtype)
-                _, ut = layers.unpool2x2_forward(x, idxs[iarm][i], out=cat[:, :up_c])
-                for a, lo, hi in zip(t.skip_arms(d), bounds[:-1], bounds[1:]):
-                    cat[:, lo:hi] = skips[a][i]
+                prefix = f"dec.arm{d}.block{i}"
+                idx = idxs[iarm][i]
+                split = [idx.shape[1]] + [t.channels[i]] * len(t.skip_arms(d))
+                flat, cat = _decoder_input(x, idx, [skips[a][i] for a in t.skip_arms(d)],
+                                           split)
+                for a in t.skip_arms(d):
                     if last_reader[a] == d:
                         skips[a][i] = None   # copied for the last time: free it
-                x, bt = _block(params, state, f"dec.arm{d}.block{i}", cat, mode,
-                               padded=flat)
-                del flat, cat   # the conv tape keeps the buffer it needs
-                arm_dec.append((ut, split, bt) if keep else None)
+                if keep:
+                    y, ct = layers.conv2d_forward(cat, params[f"{prefix}.conv.weight"],
+                                                  padded=flat, keep_input=False)
+                    # the backward rebuilds the input, so its buffer is freed
+                    # before batchnorm allocates
+                    del flat, cat
+                    y, bt = _batchnorm(params, state, prefix, y)
+                    arm_dec.append((x, layers.UnpoolTape(idx), split, [ct, bt]))
+                else:
+                    y, _ = _block(params, state, prefix, cat, mode, padded=flat)
+                    del flat, cat
+                x = y
             dec_tapes.append(arm_dec)
 
+            # the backward rebuilds the head's input from the last block's tape
             y, ht = layers.conv2d_forward(
-                x, params[f"head.arm{d}.conv.weight"], params[f"head.arm{d}.conv.bias"])
+                x, params[f"head.arm{d}.conv.weight"], params[f"head.arm{d}.conv.bias"],
+                keep_input=False)
+            del x
             preds.append(data.crop_back(y, crop))
             head_tapes.append(ht if keep else None)
 
         if not keep:
             return preds, None
         return preds, ForwardTrace(enc_tapes, fuse_tapes, dec_tapes, head_tapes, crop)
+
+    def nonfinite_layer(self, trace: ForwardTrace, preds):
+        """Where a train-mode forward first went non-finite: the first block,
+        in forward order, whose batchnorm x_hat on `trace` holds a non-finite
+        value, else the first head whose prediction does; None if none does.
+        It scans the whole tape, so call it once a prediction is found
+        non-finite, before the backward."""
+        t = self.topology
+        if trace is None or trace.consumed:
+            raise UsageError("nonfinite_layer needs a fresh train-mode trace")
+        for a in range(t.in_arms):
+            for i, ((_, bt), _) in enumerate(trace.enc_tapes[a]):
+                if not np.isfinite(bt.x_hat).all():
+                    return f"enc.arm{a}.block{i}"
+        for d in range(t.out_arms):
+            for i, (_, _, _, (_, bt)) in zip(reversed(range(t.depth)), trace.dec_tapes[d]):
+                if not np.isfinite(bt.x_hat).all():
+                    return f"dec.arm{d}.block{i}"
+            if not np.isfinite(preds[d]).all():
+                return f"head.arm{d}"
+        return None
 
     # -- backward -----------------------------------------------------------
 
@@ -304,15 +345,26 @@ class SynNetModel:
             if crop != trace.crop:
                 raise ShapeError(f"prediction gradient {d} is {crop.height}x{crop.width}, "
                                  f"the predictions are {trace.crop.height}x{trace.crop.width}")
-            g, gw, gb = layers.conv2d_backward(trace.head_tapes.pop(0), g)
+            # the head's input is the last block's output, rebuilt before that
+            # block's batchnorm backward writes over its x_hat
+            ht = trace.head_tapes.pop(0)
+            _, _, _, (_, last_bn) = trace.dec_tapes[d][-1]
+            x = layers.batchnorm_output(last_bn)
+            ht.x_flat = x.reshape(x.shape[0], x.shape[1], -1)
+            del x
+            g, gw, gb = layers.conv2d_backward(ht, g)
             add(f"head.arm{d}.conv.weight", gw)
             add(f"head.arm{d}.conv.bias", gb)
 
             for i in range(t.depth):  # reverse of forward order
-                ut, split, tapes = trace.dec_tapes[d].pop()
+                src, ut, split, tapes = trace.dec_tapes[d].pop()
+                # the skip maps are rebuilt from the encoder blocks' tapes
+                skip_tapes = [trace.enc_tapes[a][i][0][1] for a in t.skip_arms(d)]
                 tapes.append(g)
                 del g
-                g = _block_backward(tapes, add, f"dec.arm{d}.block{i}")
+                g = _block_backward(
+                    tapes, add, f"dec.arm{d}.block{i}",
+                    conv_input=lambda: _decoder_input(src, ut.idx, skip_tapes, split)[0])
                 # split concat gradient: unpooled path first, then skip maps
                 pieces = np.split(g, np.cumsum(split)[:-1], axis=1)
                 for a, piece in zip(t.skip_arms(d), pieces[1:]):
@@ -352,27 +404,57 @@ def _block(params, state, prefix, x, mode, padded=None):
     in `state`; infer mode runs one conv with batchnorm folded in and returns
     tapes None. `padded` is x's zero-padded buffer, if x was built in one."""
     w = params[f"{prefix}.conv.weight"]
-    gamma, beta = params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]
-    mean, var = f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
     if mode == "infer":
+        gamma, beta = params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]
+        mean, var = state[f"{prefix}.bn.running_mean"], state[f"{prefix}.bn.running_var"]
         x, _ = layers.conv2d_forward(
-            x, *layers.batchnorm_fold(w, gamma, beta, state[mean], state[var]),
-            padded=padded)
+            x, *layers.batchnorm_fold(w, gamma, beta, mean, var), padded=padded)
         return np.maximum(x, 0, out=x), None
     x, ct = layers.conv2d_forward(x, w, padded=padded)
-    # nothing else reads the conv output, so batchnorm centres it in place
-    x, bt, state[mean], state[var] = layers.batchnorm_forward(
-        x, gamma, beta, state[mean], state[var], out=x)
+    x, bt = _batchnorm(params, state, prefix, x)
     return x, [ct, bt]
 
 
-def _block_backward(tapes, add, prefix, grad_input=True):
+def _batchnorm(params, state, prefix, x):
+    """Train-mode batchnorm and ReLU of a block's conv output x; returns
+    (y, tape) and updates the running statistics in `state`. Nothing else
+    reads x, so batchnorm centres it in place."""
+    mean, var = f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
+    y, bt, state[mean], state[var] = layers.batchnorm_forward(
+        x, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
+        state[mean], state[var], out=x)
+    return y, bt
+
+
+def _decoder_input(src, idx, skips, split):
+    """A decoder block conv's input, built in its zero-padded buffer: src
+    unpooled by the pool indices idx, then each skip map; `split` gives the
+    channel widths.  A skip is an encoder block's output, or that block's
+    batchnorm tape, from which the output is rebuilt bit for bit.  Returns
+    (buffer, interior)."""
+    n, _, hh, ww = idx.shape
+    bounds = np.cumsum(split)
+    flat, cat = layers.zero_padded((n, bounds[-1], 2 * hh, 2 * ww), 3, src.dtype)
+    layers.unpool2x2_forward(src, idx, out=cat[:, :split[0]])
+    for skip, lo, hi in zip(skips, bounds[:-1], bounds[1:]):
+        if isinstance(skip, layers.BatchNormTape):
+            layers.batchnorm_output(skip, out=cat[:, lo:hi])
+        else:
+            cat[:, lo:hi] = skip
+    return flat, cat
+
+
+def _block_backward(tapes, add, prefix, grad_input=True, conv_input=None):
     """Backward of `_block`; adds the parameter gradients, returns the input's
     (None if `grad_input` is False).
     `tapes` is the block's [conv, batchnorm] tapes with the gradient of the
     block's output pushed on top. Each is popped and freed once used, so the
     incoming gradient is gone before the conv's zero-padded gradient buffer,
-    into which batchnorm's input gradient is copied, is allocated."""
+    into which batchnorm's input gradient is copied, is allocated.
+    `conv_input`, for a conv tape that kept no input, returns that input's
+    zero-padded buffer, rebuilt; it is called once batchnorm's input gradient
+    is freed, and the conv backward frees the buffer before it allocates the
+    input gradient."""
     g = tapes.pop()
     g, grad_gamma, grad_beta = layers.batchnorm_backward(tapes.pop(), g)
     add(f"{prefix}.bn.gamma", grad_gamma)
@@ -381,6 +463,8 @@ def _block_backward(tapes, add, prefix, grad_input=True):
     gflat, inner = layers.zero_padded(g.shape, ct.weights.shape[-1], g.dtype)
     inner[...] = g
     del g
+    if conv_input is not None:
+        ct.x_flat = conv_input()
     g, grad_w, _ = layers.conv2d_backward(ct, inner, padded=gflat, grad_input=grad_input)
     add(f"{prefix}.conv.weight", grad_w)
     return g

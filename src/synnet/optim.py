@@ -29,7 +29,8 @@ LOSS_KINDS = ("l2", "weighted_l2", "joint")
 
 
 class TrainingDivergedError(RuntimeError):
-    """A prediction or the total loss became non-finite during training."""
+    """A prediction or the total loss became non-finite during training; for
+    a prediction, the message names the first layer that did."""
 
 
 @dataclass
@@ -123,7 +124,8 @@ def train(model, params, state, dataset, cfg: TrainConfig,
             preds, trace = model.forward(params, state, inputs, mode="train")
             where = f"at iteration {opt_state.iteration + 1} (epoch {epoch})"
             if not all(np.isfinite(p).all() for p in preds):
-                raise TrainingDivergedError(f"non-finite prediction {where}")
+                raise TrainingDivergedError(f"non-finite prediction {where}, first in "
+                                            f"{model.nonfinite_layer(trace, preds)}")
             maps = (None if cfg.loss == "l2" else
                     [loss_mod.edge_weight_map(t, cfg.edge_beta) for t in targets])
             report = loss_mod.joint_loss(preds, targets, params, weights, cfg.ssim,

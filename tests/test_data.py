@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from synnet.data import (MODALITIES, canonical_modality, generate_phantom,
                          bilinear_resize, draw_transform, apply_transform,
@@ -170,6 +171,18 @@ def test_pgm_unsupported_maxval(tmp_path):
         load_pgm(path)
 
 
+@pytest.mark.parametrize("header, field", [(b"P5 -4 -4 255\n", "width -4 at byte 3"),
+                                           (b"P5 0 7 255\n", "width 0 at byte 3"),
+                                           (b"P5 7 0 255\n", "height 0 at byte 5")],
+                         ids=["negative", "zero-width", "zero-height"])
+def test_pgm_non_positive_size_reports_offset(tmp_path, header, field):
+    path = str(tmp_path / "z.pgm")
+    with open(path, "wb") as f:
+        f.write(header + bytes(16))
+    with pytest.raises(PgmParseError, match=field):
+        load_pgm(path)
+
+
 def test_save_pgm_rejects_out_of_range(tmp_path):
     with pytest.raises(ParameterError):
         save_pgm(str(tmp_path / "f.pgm"), np.full((1, 1, 2, 2), 1.5))
@@ -231,6 +244,107 @@ def test_load_manifest_rejects_non_integer_size(tmp_path):
     (root / "manifest.txt").write_text("s0000\t16\t16\ns0001\tx\t16\n")
     with pytest.raises(ParameterError, match=r"manifest\.txt:2: image size"):
         load_manifest(str(root))
+
+
+def test_load_manifest_rejects_non_utf8_line(tmp_path):
+    root = tmp_path / "bad"
+    root.mkdir()
+    (root / "manifest.txt").write_bytes(b"s0000\t16\t16\ns\xff001\t16\t16\n")
+    with pytest.raises(ParameterError, match=r"manifest\.txt:2: not UTF-8"):
+        load_manifest(str(root))
+
+
+@pytest.mark.parametrize("text", ["s0000\t-64\t0\n", "s0000\t16\t0\n"],
+                         ids=["negative", "zero-width"])
+def test_load_manifest_rejects_non_positive_size(tmp_path, text):
+    root = tmp_path / "bad"
+    root.mkdir()
+    (root / "manifest.txt").write_text(text)
+    with pytest.raises(ParameterError, match=r"manifest\.txt:1: image size must be positive"):
+        load_manifest(str(root))
+
+
+def test_load_manifest_rejects_empty(tmp_path):
+    root = tmp_path / "bad"
+    root.mkdir()
+    (root / "manifest.txt").write_text("\n")
+    with pytest.raises(ParameterError, match="no samples"):
+        load_manifest(str(root))
+
+
+# Single-bit flips and truncations of a saved file: each must load a
+# non-empty result or fail by name; any other exception fails the test.
+
+def _pgm_bytes(tmp_path):
+    path = str(tmp_path / "src.pgm")
+    save_pgm(path, (np.arange(12).reshape(1, 1, 3, 4) * 20) / 255.0)
+    return open(path, "rb").read()
+
+
+def _manifest_bytes(tmp_path):
+    write_dataset(str(tmp_path / "src"), 2, 16, 16, seed=0)
+    return (tmp_path / "src" / "manifest.txt").read_bytes()
+
+
+def _flipped(raw, bit):
+    raw = bytearray(raw)
+    b = bit % (8 * len(raw))
+    raw[b // 8] ^= 1 << b % 8
+    return bytes(raw)
+
+
+def _load_pgm_or_fail_by_name(path):
+    try:
+        img = load_pgm(path)
+    except PgmParseError:
+        return
+    assert img.ndim == 4 and img.size > 0
+
+
+def _load_manifest_or_fail_by_name(root):
+    try:
+        m = load_manifest(root)
+    except ParameterError:
+        return
+    assert m.sample_ids and m.height > 0 and m.width > 0
+
+
+_CORRUPT = dict(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(**_CORRUPT)
+@given(bit=st.integers(min_value=0, max_value=8 * 23 - 1))
+def test_pgm_single_bit_flip_loads_or_fails_by_name(tmp_path, bit):
+    path = tmp_path / "flip.pgm"
+    path.write_bytes(_flipped(_pgm_bytes(tmp_path), bit))
+    _load_pgm_or_fail_by_name(str(path))
+
+
+@settings(**_CORRUPT)
+@given(keep=st.integers(min_value=0, max_value=23))
+def test_pgm_truncation_loads_or_fails_by_name(tmp_path, keep):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(_pgm_bytes(tmp_path)[:keep])
+    _load_pgm_or_fail_by_name(str(path))
+
+
+@settings(**_CORRUPT)
+@given(bit=st.integers(min_value=0, max_value=8 * 24 - 1))
+def test_manifest_single_bit_flip_loads_or_fails_by_name(tmp_path, bit):
+    root = tmp_path / "flip"
+    root.mkdir(exist_ok=True)
+    (root / "manifest.txt").write_bytes(_flipped(_manifest_bytes(tmp_path), bit))
+    _load_manifest_or_fail_by_name(str(root))
+
+
+@settings(**_CORRUPT)
+@given(keep=st.integers(min_value=0, max_value=24))
+def test_manifest_truncation_loads_or_fails_by_name(tmp_path, keep):
+    root = tmp_path / "cut"
+    root.mkdir(exist_ok=True)
+    (root / "manifest.txt").write_bytes(_manifest_bytes(tmp_path)[:keep])
+    _load_manifest_or_fail_by_name(str(root))
 
 
 def test_split_ids():

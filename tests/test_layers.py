@@ -3,6 +3,7 @@ import pytest
 
 from synnet.layers import (BN_EPS, conv2d_forward, conv2d_backward, zero_padded,
                            batchnorm_forward, batchnorm_backward, batchnorm_fold,
+                           batchnorm_output,
                            maxpool2x2_forward, maxpool2x2_backward,
                            unpool2x2_forward, unpool2x2_backward)
 from synnet.tensor import RngStream, ShapeError, ParameterError, UsageError
@@ -225,6 +226,52 @@ def test_conv_backward_can_skip_the_input_gradient():
     assert gx is None and _same_bits(gw_only, gw) and tape.x_flat is None
 
 
+@pytest.mark.parametrize("in_c, out_c", [(2, 5), (5, 5)], ids=["stacked", "per-offset"])
+def test_conv_forward_writes_its_output_chunk_by_chunk(in_c, out_c, monkeypatch):
+    # with one image per chunk, the forward allocates its output and one
+    # chunk's working rows, not a whole-batch correlation buffer to copy from
+    import tracemalloc
+    import synnet.layers as layers
+    n, h, wd = 16, 8, 12
+    rng = RngStream(17)
+    w = rng.uniform((out_c, in_c, 3, 3), -1, 1)
+    flat, x = zero_padded((n, in_c, h, wd), 3, np.float32)
+    x[...] = rng.uniform(x.shape, -1, 1)
+    monkeypatch.setattr(layers, "_L2_BYTES", 1)
+    conv2d_forward(x, w, padded=flat)          # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        y, _ = conv2d_forward(x, w, padded=flat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = (9 * in_c + 2 * out_c) * h * (wd + 2) * 4 + 4096
+    assert y.nbytes + chunk < 2 * y.nbytes
+    assert peak <= y.nbytes + chunk
+
+
+def test_conv_tape_without_input_takes_the_rebuilt_one():
+    rng = RngStream(18)
+    x = rng.uniform((2, 3, 6, 8), -1, 1)
+    w = rng.uniform((4, 3, 3, 3), -1, 1)
+    g = rng.uniform((2, 4, 6, 8), -1, 1)
+    y, tape = conv2d_forward(x, w)
+    want = conv2d_backward(tape, g)
+    y_bare, bare = conv2d_forward(x, w, keep_input=False)
+    assert bare.x_flat is None and _same_bits(y_bare, y)
+    with pytest.raises(UsageError, match="not rebuilt"):
+        conv2d_backward(bare, g)
+    bare.x_flat = np.zeros((2, 3, 7 * 10), np.float32)
+    with pytest.raises(ShapeError, match="tape input"):
+        conv2d_backward(bare, g)
+    flat, inner = zero_padded(x.shape, 3, x.dtype)
+    inner[...] = x
+    bare.x_flat = flat
+    for got, ref in zip(conv2d_backward(bare, g), want):
+        assert (got is None and ref is None) or _same_bits(got, ref)
+    assert bare.x_flat is None
+
+
 def test_conv_forward_linearity_in_input():
     rng = RngStream(11)
     x1 = rng.uniform((1, 2, 6, 6), -1, 1, dtype="double")
@@ -349,6 +396,24 @@ def test_batchnorm_relu_mask_is_rebuilt_bit_for_bit(dtype):
     # subgradient 0 where the pre-activation is exactly 0
     assert _same_bits(g, (y > 0).astype(dtype))
     assert not g[0, :, 0, 0].any() and not g[1, :, 2, 3].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_output_rebuilds_y_bit_for_bit(dtype):
+    x, gamma, beta = _exact_zeros_case(dtype)
+    y, tape, _, _ = batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3))
+    assert _same_bits(batchnorm_output(tape), y)
+    # into a strided view of a larger buffer, as a decoder's skip slot
+    buf = np.full((x.shape[0], 5, *x.shape[2:]), np.nan, dtype)
+    batchnorm_output(tape, out=buf[:, 1:4])
+    assert _same_bits(buf[:, 1:4], y) and np.isnan(buf[:, [0, 4]]).all()
+    # the tape is not consumed
+    assert tape.x_hat is not None
+    with pytest.raises(ShapeError):
+        batchnorm_output(tape, out=buf)
+    batchnorm_backward(tape, np.ones_like(x))
+    with pytest.raises(UsageError, match="consumed"):
+        batchnorm_output(tape)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -214,6 +214,55 @@ def test_backward_matches_finite_differences_at_depth_2(case, suite_results):
     assert [r.name for r in results if not (r.passed and r.tol == 1e-5)] == []
 
 
+@pytest.mark.parametrize("kind", ["siso", "miso", "mimo"])
+def test_train_forward_keeps_no_decoder_or_head_conv_input(kind):
+    topo = _tiny(kind)
+    model, params, state = build_model(topo, RngStream(19))
+    rng = RngStream(20)
+    inputs = [rng.uniform((2, 1, 8, 8), 0, 1) for _ in range(topo.in_arms)]
+    _, trace = model.forward(params, state, inputs, mode="train")
+    for arm in trace.dec_tapes:
+        for _, _, _, (ct, _) in arm:
+            assert ct.x_flat is None
+    assert all(ht.x_flat is None for ht in trace.head_tapes)
+    # encoder and fuse convs keep theirs
+    assert all(ct.x_flat is not None for arm in trace.enc_tapes for (ct, _), _ in arm)
+    assert all(ft is None or ft.x_flat is not None for ft in trace.fuse_tapes)
+
+
+@pytest.mark.parametrize("kind", ["mimo", "miso", "siso"],
+                         ids=["mimo-full-skips", "miso", "siso"])
+def test_backward_rebuilds_each_conv_input_byte_equal(kind, monkeypatch):
+    # every decoder and head conv input the backward rebuilds is, byte for
+    # byte, the zero-padded input the forward convolved
+    topo = _tiny(kind)
+    model, params, state = build_model(topo, RngStream(21))
+    rng = RngStream(22)
+    inputs = [rng.uniform((3, 1, 8, 8), 0, 1) for _ in range(topo.in_arms)]
+    forward, backward = layers.conv2d_forward, layers.conv2d_backward
+    convolved, rebuilt = {}, []
+
+    def record(x, w, b=None, padded=None, keep_input=True):
+        if not keep_input:
+            flat = padded if padded is not None else x.reshape(*x.shape[:2], -1)
+            convolved[id(w)] = flat.copy()
+        return forward(x, w, b, padded=padded, keep_input=keep_input)
+
+    def compare(tape, grad_out, **kwargs):
+        if id(tape.weights) in convolved:
+            want = convolved.pop(id(tape.weights))
+            assert tape.x_flat.dtype == want.dtype and tape.x_flat.shape == want.shape
+            assert tape.x_flat.tobytes() == want.tobytes()
+            rebuilt.append(tape.weights.shape)
+        return backward(tape, grad_out, **kwargs)
+
+    monkeypatch.setattr(layers, "conv2d_forward", record)
+    monkeypatch.setattr(layers, "conv2d_backward", compare)
+    preds, trace = model.forward(params, state, inputs, mode="train")
+    model.backward(params, trace, [rng.uniform(p.shape, -1, 1) for p in preds])
+    assert len(rebuilt) == topo.out_arms * (topo.depth + 1) and not convolved
+
+
 def test_paper_scale_training_step_peak_memory():
     # tracemalloc peak of one paper-scale SISO step (depth 3, channels
     # 32/64/64, batch 8, 64x64, joint loss), in units of one 64-channel
@@ -222,7 +271,9 @@ def test_paper_scale_training_step_peak_memory():
     # block conv's input gradient in its zero-padded buffer, and freeing each
     # block tape once used, took it from 9.2 to 7.7; batchnorm and ReLU in
     # place without a mask, and freeing each conv input and skip map at its
-    # last use, to 6.0.
+    # last use, to 6.0; rebuilding the decoder and head conv inputs in the
+    # backward instead of keeping them on the tape, and writing each conv
+    # output chunk by chunk, to 4.1.
     import tracemalloc
     from synnet import optim
     from synnet.loss import LossWeights
@@ -244,4 +295,4 @@ def test_paper_scale_training_step_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 6.5 * activation, f"peak {peak / activation:.2f} activations"
+    assert peak <= 4.5 * activation, f"peak {peak / activation:.2f} activations"

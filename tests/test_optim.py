@@ -191,6 +191,37 @@ def test_train_divergence_guard_names_the_iteration():
             train(model, params, state, data, cfg)
 
 
+@pytest.mark.parametrize("kind, param, layer", [
+    ("siso", "dec.arm0.block1.conv.weight", "dec.arm0.block1"),
+    ("siso", "head.arm0.conv.weight", "head.arm0"),
+    ("mimo", "enc.arm1.block0.conv.weight", "enc.arm1.block0"),
+    ("mimo", "dec.arm1.block0.conv.weight", "dec.arm1.block0"),
+], ids=["siso-decoder", "siso-head", "mimo-encoder", "mimo-decoder-arm1"])
+def test_train_divergence_guard_names_the_first_non_finite_layer(kind, param, layer):
+    topo = Topology(kind=kind, depth=2, channels=(4, 6), final_width=4)
+    model, params, state = build_model(topo, RngStream(0).child("init"))
+    rng = RngStream(1)
+    data = [([rng.uniform((1, 1, 8, 8), 0, 1) for _ in range(topo.in_arms)],
+             [rng.uniform((1, 1, 8, 8), 0, 1) for _ in range(topo.out_arms)])
+            for _ in range(4)]
+    params[param] = params[param].copy()
+    params[param].flat[0] = np.nan
+    with pytest.raises(TrainingDivergedError,
+                       match=rf"iteration 1 \(epoch 0\), first in {layer}$"):
+        train(model, params, state, data, TrainConfig(batch_size=4, epochs=1, loss="l2"))
+
+
+def test_train_scans_for_the_layer_only_when_a_prediction_is_not_finite(monkeypatch):
+    from synnet.model import SynNetModel
+
+    def no_scan(*args):
+        raise AssertionError("nonfinite_layer called on a healthy step")
+
+    monkeypatch.setattr(SynNetModel, "nonfinite_layer", no_scan)
+    model, params, state = _toy_model()
+    train(model, params, state, _toy_dataset(), TrainConfig(batch_size=3, epochs=1, loss="l2"))
+
+
 def test_train_rejects_empty_dataset_and_bad_config():
     model, params, state = _toy_model()
     with pytest.raises(ParameterError):
