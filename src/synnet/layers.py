@@ -2,9 +2,10 @@
 
 Conventions fixed here (the network blocks are assembled in `model`):
   - convolution is cross-correlation (no kernel flip), "same" zero padding;
-    both of its GEMM paths, and its weight gradient, run over chunks of
-    images that fit in one core's L2, and each chunk's result is written
-    straight into the output (see the convolution section);
+    both of its forward GEMM paths run over chunks of images that fit in
+    one core's L2, each chunk's result written straight into the output,
+    and its backward forms both gradients from one L2-sized stack of
+    shifted windows at a time (see the convolution section);
   - batchnorm has one mode, by the batch statistics, and includes the
     block's ReLU: the forward applies it in place and keeps no mask, and
     the backward rebuilds the mask from x_hat, gamma and beta.  At
@@ -32,17 +33,20 @@ Every forward returns a tape carrying exactly what its backward needs:
   - batchnorm: x_hat, the per-channel 1/std, gamma and beta, from which
     `batchnorm_output` rebuilds the forward's output bit for bit;
   - pool and unpool: the argmax offsets, one uint8 per pooled value.
-Conv and batchnorm tapes are consumed by their backward, which frees the
-buffers they hold as soon as it can: the conv backward drops its input once
-grad_w is formed, and the batchnorm backward masks its grad_out in place
-and writes the input gradient over x_hat.  A second backward on a consumed
-tape raises UsageError.
+Conv and batchnorm tapes are consumed by their backward, which reuses or
+frees the buffers they hold: a 3x3 conv backward writes the input gradient
+over its padded input and returns the interior view, a 1x1 one drops its
+input (the caller's) before it allocates the input gradient, and the
+batchnorm backward masks its grad_out in place and writes the input
+gradient over x_hat.  A second backward on a consumed tape raises
+UsageError.
 
 Buffers handed in (`out=`, `padded=`) are written or kept as they are.  A
 conv takes `padded=flat` from `zero_padded`, the zero-padded flat buffer
-whose interior is its input, and keeps it as its tape's `x_flat` (forward)
-or correlates it as the padded grad_out (backward) instead of padding a
-copy; the producer of that input writes straight into the interior.
+whose interior is its input, and keeps it as its tape's `x_flat` (forward;
+a 3x3 backward writes the input gradient over it) or reads it as the
+padded grad_out (backward) instead of padding a copy; the producer of that
+input writes straight into the interior.
 `out=` writes a result into the given array; batchnorm's forward writes
 x_hat there.  The model hands over only buffers that nothing reads
 afterwards.  Either way every float op runs in the same order as without
@@ -76,17 +80,31 @@ from .tensor import ShapeError, ParameterError, UsageError, check_4d
 # or the accumulator, partial product and input) into _L2_BYTES.  Small
 # layers fit the whole batch in one chunk: a loop over single images made
 # them several times slower.  Each image's GEMMs and tap order do not
-# depend on the chunk, so neither do the forward and the input gradient.
+# depend on the chunk, so neither does a correlation's result.
 # Each chunk's rows, junk columns and all, are then written into the output
 # without them (adding the bias in the same pass), so no whole-batch
 # correlation buffer is formed and copied.
 #
-# The weight gradient runs its k*k taps inside the same kind of chunk loop,
-# so that a chunk's input rows and grad_out stay in L2 across all taps.  Its
-# sum over images is taken per chunk in the input's dtype, and the chunk sums
-# are added in double and rounded once.  A layer that fits one chunk rounds
-# its one partial sum back exactly, so its result is that of one sum over
-# the batch.
+# The backward is the same trick on the gradient side (Chellapilla et al.,
+# 2006): it stacks the k*k windows of one side and runs each gradient as one
+# GEMM over the stack.  Tap t = (u, v) pairs grad_out at q + p(wp+1) with the
+# input at q + u*wp + v.  When in_c >= out_c the windows of the padded
+# grad_out are stacked, window t starting at 2p(wp+1) - (u*wp + v), so that
+# grad_w gets stack @ x_centre^T, x_centre the input's window at p(wp+1);
+# and the input gradient is W_st @ stack, W_st the weights as (in_c, k*k*out_c)
+# in (tap, out) order, written over x_centre, which no later unit reads.
+# When in_c < out_c the input's windows are stacked against grad_out's
+# centre window for grad_w, and the input gradient is the correlation of
+# grad_out with the rotated kernel (`_correlate`).  The side follows the
+# channel counts alone, so grad_w does not depend on whether the input
+# gradient is formed.  A unit of work is a chunk of whole images when one
+# image's stack fits _L2_BYTES, else a band of one image as wide as a
+# multiple of 64 columns; bands keep each column's place in the GEMM
+# kernel's column blocks, so the input gradient is bit-equal however it is
+# cut.  grad_w's sum over a unit's images is taken in the input's dtype, and
+# the unit sums are added in double and rounded once.  A layer that fits
+# one unit rounds its one partial sum back exactly, so its result is that
+# of one sum over the batch.
 # ---------------------------------------------------------------------------
 
 _L2_BYTES = 2 << 20     # 2 MiB, one core's private L2 on the benchmark host
@@ -102,7 +120,8 @@ def _image_chunks(n: int, per_image: int):
 @dataclass
 class ConvTape:
     x_flat: np.ndarray | None  # zero-padded input, rows flattened: (n, in_c, (h+2p)*(w+2p));
-                               # for 1x1 a view of the input itself; None once consumed
+                               # for 1x1 a view of the input itself; None once consumed,
+                               # when a 3x3 backward has written the input gradient over it
     weights: np.ndarray
     in_shape: tuple
     has_bias: bool
@@ -248,29 +267,72 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     return y, ConvTape(flat if keep_input else None, w, x.shape, b is not None)
 
 
-def _weight_grad(flat: np.ndarray, g: np.ndarray, k: int, wp: int, span: int) -> np.ndarray:
-    """(out_c, in_c, k*k) weight gradient, summed over images, in double.
+def _units(n: int, span: int, per_column: int):
+    """Units of work over n images of `span` columns each, such that a stack
+    of `per_column` bytes per column fits _L2_BYTES: chunks of whole images
+    when one image fits, else bands of one image, each a multiple of 64
+    columns wide but the last.  Returns the largest unit's image and column
+    counts, and an iterator of (image slice, column slice)."""
+    if per_column * span <= _L2_BYTES:
+        chunks = _image_chunks(n, per_column * span)
+        return chunks[0].stop, span, ((sl, slice(0, span)) for sl in chunks)
+    # a band as wide as a multiple of 64 columns keeps every column at the
+    # same place within a GEMM kernel's column blocks as in the whole image,
+    # so each is summed in the same order
+    band = min(span, max(64, _L2_BYTES // per_column // 64 * 64))
+    return 1, band, ((slice(i, i + 1), slice(lo, min(lo + band, span)))
+                     for i in range(n) for lo in range(0, span, band))
 
-    flat is the padded flat input and g the (n, out_c, span) view of the
-    padded grad_out.  The views of flat made here are gone on return.
+
+def _stacked_backward(x_flat, gflat, w, wp, span, grad_input):
+    """The (k*k, out_c, in_c) weight gradient, summed over images in double,
+    and whether the input gradient was formed too.
+
+    x_flat is the padded flat input and gflat the padded flat grad_out.  The
+    k*k windows of the side with fewer channels (grad_out's on a tie) are
+    stacked, unit by unit, against the other side's centre window.  When
+    `grad_input` is asked for and the stack is grad_out's, the input
+    gradient is formed from it too, written over the input's centre window.
     """
-    n, in_c, _ = flat.shape
-    out_c = g.shape[1]
-    grad_w = np.zeros((out_c, in_c, k * k))
-    # input and grad_out rows of one chunk fit in L2 across all k*k taps
-    for sl in _image_chunks(n, (in_c + out_c) * span * flat.itemsize):
-        gs = g[sl]
-        for t, view in enumerate(_shifted(flat[sl], k, wp, span)):
-            grad_w[:, :, t] += np.matmul(gs, view.transpose(0, 2, 1)).sum(axis=0)
-    return grad_w
+    out_c, in_c, k, _ = w.shape
+    kk, centre = k * k, (k // 2) * (wp + 1)
+    offsets = [u * wp + v for u in range(k) for v in range(k)]
+    out_side = in_c >= out_c
+    if out_side:
+        src, other, starts = gflat, x_flat, [2 * centre - o for o in offsets]
+    else:
+        src, other, starts = x_flat, gflat, offsets
+    grad_input = grad_input and out_side
+    if grad_input:     # (in_c, k*k*out_c) weights in (tap, out) order
+        w_st = w.transpose(1, 2, 3, 0).reshape(in_c, -1).astype(gflat.dtype, copy=False)
+    c = src.shape[1]
+    images, columns, units = _units(len(src), span, kk * c * src.itemsize)
+    stack = np.empty((images, kk * c, columns), dtype=src.dtype)
+    grad_w = np.zeros((kk, out_c, in_c))
+    for sl, cols in units:
+        st = stack[:sl.stop - sl.start, :, :cols.stop - cols.start]
+        for t, s in enumerate(starts):
+            st[:, t * c:(t + 1) * c] = src[sl, :, s + cols.start:s + cols.stop]
+        oc = other[sl, :, centre + cols.start:centre + cols.stop]
+        if out_side:
+            part = np.matmul(st, oc.transpose(0, 2, 1)).sum(axis=0)
+            grad_w += part.reshape(kk, out_c, in_c)
+            if grad_input:
+                np.matmul(w_st, st, out=oc)
+        else:
+            part = np.matmul(oc, st.transpose(0, 2, 1)).sum(axis=0)
+            grad_w += part.reshape(out_c, kk, in_c).transpose(1, 0, 2)
+    return grad_w, grad_input
 
 
 def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | None = None,
                     grad_input: bool = True):
     """Gradients w.r.t. input, weights and bias (None if the forward had none).
 
-    Consumes the tape: its input is dropped once grad_w is formed, and a
-    second backward on it raises UsageError.  `padded` is grad_out's buffer
+    Consumes the tape, and a second backward on it raises UsageError.  A 3x3
+    conv writes its input gradient over the tape's padded input and returns
+    its interior view; a 1x1 conv, whose tape references the caller's input,
+    drops that input and returns a new array.  `padded` is grad_out's buffer
     from `zero_padded` (grad_out its interior), used instead of a padded copy.
     With `grad_input` False the input gradient is not formed and is None.
     """
@@ -287,19 +349,27 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
     p, wp = k // 2, wd + k - 1
     if tape.x_flat.shape != (n, c, (h + 2 * p) * wp):
         raise ShapeError(f"tape input {tape.x_flat.shape} != ({n},{c},{(h + 2 * p) * wp})")
+    x_flat, tape.x_flat = tape.x_flat, None
     span = h * wp - (k - 1)
     # grad_out padded like the input: row width wp, zeros in the junk columns
     gflat = _padded_input(grad_out, p, padded)
-    g = gflat[:, :, p * wp + p:p * wp + p + span]
-    grad_w = _weight_grad(tape.x_flat, g, k, wp, span).reshape(w.shape).astype(w.dtype)
-    tape.x_flat = None      # the input is freed before the input gradient is allocated
     grad_b = grad_out.sum(axis=(0, 2, 3)).astype(w.dtype) if tape.has_bias else None
+    # a 3x3 conv's input gradient goes over its spent input, straight from
+    # grad_out's stack when that is the side stacked
+    grad_w, stacked = _stacked_backward(x_flat, gflat, w, wp, span, grad_input and k > 1)
+    grad_w = grad_w.transpose(1, 2, 0).reshape(w.shape).astype(w.dtype)
     if not grad_input:
         return None, grad_w, grad_b
+    if k == 1:
+        del x_flat      # the caller's input: dropped before a new gradient
+        grad_in = np.empty((n, c, h, wd), dtype=gflat.dtype)
+    else:
+        grad_in = _interior(x_flat, h, wd, p)
+        if stacked:
+            return grad_in, grad_w, grad_b
     # the input gradient is the same correlation of the padded grad_out with
     # the kernel rotated 180 degrees and its in/out channels swapped
     w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(gflat.dtype, copy=False)
-    grad_in = np.empty((n, c, h, wd), dtype=gflat.dtype)
     return _correlate(gflat, w_rot, grad_in), grad_w, grad_b
 
 

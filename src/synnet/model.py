@@ -33,7 +33,12 @@ Trace:          per block, its conv tape and batchnorm tape (x_hat, gamma,
                 recompute-instead-of-store trade of Chen et al. (2016,
                 arXiv:1604.06174).  `backward` pops each tape as it goes
                 and each layer backward consumes its tape, so a trace is
-                used once and the backward frees the tape behind it.
+                used once and the backward frees the tape behind it.  A
+                block's 3x3 conv backward writes its input gradient over
+                the padded input it was handed (kept or rebuilt), so the
+                backward copies each decoder block's skip gradients out of
+                that buffer, which is freed once the unpool gradient has
+                been gathered from it.
 
 Block convs have no bias: batchnorm subtracts the per-channel mean, so a
 bias in front of it has an exactly zero gradient and never learns. The
@@ -365,11 +370,16 @@ class SynNetModel:
                 g = _block_backward(
                     tapes, add, f"dec.arm{d}.block{i}",
                     conv_input=lambda: _decoder_input(src, ut.idx, skip_tapes, split)[0])
-                # split concat gradient: unpooled path first, then skip maps
-                pieces = np.split(g, np.cumsum(split)[:-1], axis=1)
-                for a, piece in zip(t.skip_arms(d), pieces[1:]):
-                    acc(skip_grads[a], i, piece)
-                g = layers.unpool2x2_backward(ut, pieces[0])
+                # split concat gradient: unpooled path first, then skip maps.
+                # g is the interior of the conv's padded input buffer, so each
+                # skip gradient is copied (or summed) out, and no view keeps
+                # that buffer alive until the encoder block that takes it
+                up, *skips = np.split(g, np.cumsum(split)[:-1], axis=1)
+                for a, piece in zip(t.skip_arms(d), skips):
+                    skip_grads[a][i] = piece.copy() if skip_grads[a][i] is None \
+                        else skip_grads[a][i] + piece
+                g = layers.unpool2x2_backward(ut, up)
+                del up, skips, piece
 
             fuse_tape = trace.fuse_tapes.pop(0)
             if t.kind == "siso":
@@ -453,8 +463,9 @@ def _block_backward(tapes, add, prefix, grad_input=True, conv_input=None):
     into which batchnorm's input gradient is copied, is allocated.
     `conv_input`, for a conv tape that kept no input, returns that input's
     zero-padded buffer, rebuilt; it is called once batchnorm's input gradient
-    is freed, and the conv backward frees the buffer before it allocates the
-    input gradient."""
+    is freed.  The conv backward writes the input gradient over that buffer
+    (or the kept one) and returns its interior, so it allocates no
+    full-size array."""
     g = tapes.pop()
     g, grad_gamma, grad_beta = layers.batchnorm_backward(tapes.pop(), g)
     add(f"{prefix}.bn.gamma", grad_gamma)

@@ -250,7 +250,9 @@ def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
     def check(name, analytic, numeric, tol):
         results.append(CheckResult(name, max_rel_err(analytic, numeric), tol))
 
-    # conv 3x3
+    # conv 3x3, widening (3 -> 4: its weight gradient stacks the input's
+    # windows) and narrowing (5 -> 3: both gradients come from a stack of
+    # grad_out's windows)
     x = _u(rng, (2, 3, 6, 6))
     w = _u(rng, (4, 3, 3, 3), -0.5, 0.5)
     b = _u(rng, (4,), -0.5, 0.5)
@@ -263,15 +265,26 @@ def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
           finite_diff(lambda v: float((layers.conv2d_forward(x, v, b)[0] * cot).sum()), w.copy(), h_step), 1e-6)
     check("conv3x3/bias", gb,
           finite_diff(lambda v: float((layers.conv2d_forward(x, w, v)[0] * cot).sum()), b.copy(), h_step), 1e-6)
+    xn = _u(rng, (2, 5, 5, 7))
+    wn = _u(rng, (3, 5, 3, 3), -0.5, 0.5)
+    cotn = _u(rng, (2, 3, 5, 7))
+    _, tapen = layers.conv2d_forward(xn, wn)
+    gxn, gwn, _ = layers.conv2d_backward(tapen, cotn)
+    check("conv3x3-narrow/input", gxn,
+          finite_diff(lambda v: float((layers.conv2d_forward(v, wn)[0] * cotn).sum()), xn.copy(), h_step), 1e-6)
+    check("conv3x3-narrow/weight", gwn,
+          finite_diff(lambda v: float((layers.conv2d_forward(xn, v)[0] * cotn).sum()), wn.copy(), h_step), 1e-6)
 
     # conv 1x1
     w1 = _u(rng, (2, 3, 1, 1), -0.5, 0.5)
     b1 = _u(rng, (2,), -0.5, 0.5)
     cot1 = _u(rng, (2, 2, 6, 6))
     _, tape1 = layers.conv2d_forward(x, w1, b1)
-    gx1, _, _ = layers.conv2d_backward(tape1, cot1)
+    gx1, gw1, _ = layers.conv2d_backward(tape1, cot1)
     check("conv1x1/input", gx1,
           finite_diff(lambda v: float((layers.conv2d_forward(v, w1, b1)[0] * cot1).sum()), x.copy(), h_step), 1e-6)
+    check("conv1x1/weight", gw1,
+          finite_diff(lambda v: float((layers.conv2d_forward(x, v, b1)[0] * cot1).sum()), w1.copy(), h_step), 1e-6)
 
     # batchnorm and its ReLU, with no pre-activation near the ReLU's kink
     gamma = _u(rng, (2,), 0.5, 1.5)

@@ -135,9 +135,11 @@ def _grad_w_oracle(x, cot, k):
 def _check_conv_chunkings(monkeypatch, x, w, cot, per_images):
     """Run one conv forward and backward with layers._L2_BYTES set for chunks
     of 1, of 2 + a ragged last one, and of all images, by each per-image size
-    in turn.  The forward and the input gradient must be bit-equal across
-    chunkings; grad_w sums chunk partials, so it agrees to the dtype's
-    rounding.  In double all three match the oracles to 1e-12."""
+    in turn; where that is less than one image's backward stack, the
+    backward runs over column bands of one image instead.  The forward and
+    the input gradient must be bit-equal across chunkings and bands; grad_w
+    sums unit partials, so it agrees to the dtype's rounding.  In double all
+    three match the oracles to 1e-12."""
     import synnet.layers as layers
     from synnet.verify import conv_oracle
     runs = []
@@ -163,23 +165,31 @@ def _check_conv_chunkings(monkeypatch, x, w, cot, per_images):
 
 
 def test_conv_per_offset_chunks_are_bit_equal(monkeypatch):
-    # in_c == out_c puts forward and input gradient on the per-offset path,
-    # which runs its GEMMs over chunks of images sized by layers._L2_BYTES;
-    # grad_w runs its taps over chunks of its own size
+    # in_c == out_c puts the forward on the per-offset path, which runs its
+    # GEMMs over chunks of images sized by layers._L2_BYTES, and the backward
+    # on a stack of grad_out's 9 windows, which runs over units of whole
+    # images or, where one image's stack does not fit, over column bands
     n, c, h, wd = 5, 3, 6, 10
     rng = RngStream(13)
     x = rng.uniform((n, c, h, wd), -1, 1, dtype="double")
     w = rng.uniform((c, c, 3, 3), -1, 1, dtype="double")
     cot = rng.uniform((n, c, h, wd), -1, 1, dtype="double")
-    per_offset = (2 * c + c) * h * (wd + 2) * x.itemsize
-    grad_w = (c + c) * (h * (wd + 2) - 2) * x.itemsize
-    _check_conv_chunkings(monkeypatch, x, w, cot, (per_offset, grad_w))
+    span = h * (wd + 2) - 2
+    for dtype in (np.float64, np.float32):
+        size = np.dtype(dtype).itemsize
+        per_offset = (2 * c + c) * h * (wd + 2) * size
+        grad_w = (c + c) * span * size            # both force bands
+        stack = 9 * c * span * size               # one image's grad_out stack
+        _check_conv_chunkings(monkeypatch, x.astype(dtype), w.astype(dtype),
+                              cot.astype(dtype), (per_offset, grad_w, stack))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_conv_stacked_chunks_are_bit_equal(dtype, monkeypatch):
     # in_c < out_c puts the forward on the stacked path, one GEMM per chunk
-    # of images over a stack of the 9 shifted views, sized by _L2_BYTES
+    # of images over a stack of the 9 shifted views, sized by _L2_BYTES, and
+    # the weight gradient on a stack of the input's 9 windows, over units of
+    # whole images or column bands
     n, in_c, out_c, h, wd = 5, 2, 5, 6, 10
     rng = RngStream(14)
     x = rng.uniform((n, in_c, h, wd), -1, 1).astype(dtype)
@@ -187,11 +197,12 @@ def test_conv_stacked_chunks_are_bit_equal(dtype, monkeypatch):
     cot = rng.uniform((n, out_c, h, wd), -1, 1).astype(dtype)
     span = h * (wd + 2) - 2
     stacked = (9 * in_c + out_c) * span * x.itemsize
-    grad_w = (in_c + out_c) * span * x.itemsize
-    _check_conv_chunkings(monkeypatch, x, w, cot, (stacked, grad_w))
+    grad_w = (in_c + out_c) * span * x.itemsize   # forces bands
+    stack = 9 * in_c * span * x.itemsize          # one image's input stack
+    _check_conv_chunkings(monkeypatch, x, w, cot, (stacked, grad_w, stack))
 
 
-@pytest.mark.parametrize("k, out_c", [(1, 1), (3, 5)], ids=["1x1-head", "3x3"])
+@pytest.mark.parametrize("k, out_c", [(1, 1)], ids=["1x1-head"])
 def test_conv_backward_frees_its_input_before_the_input_gradient(k, out_c, monkeypatch):
     import weakref
     import synnet.layers as layers
@@ -216,14 +227,64 @@ def test_conv_backward_frees_its_input_before_the_input_gradient(k, out_c, monke
 
 
 def test_conv_backward_can_skip_the_input_gradient():
+    # the stacked side follows the channel counts alone, so grad_w is the
+    # same with or without the input gradient: the input's windows for
+    # 1 -> 4, grad_out's for 5 -> 3
     rng = RngStream(16)
-    x = rng.uniform((2, 1, 6, 8), -1, 1)
-    w = rng.uniform((4, 1, 3, 3), -1, 1)
-    g = rng.uniform((2, 4, 6, 8), -1, 1)
-    _, gw, _ = conv2d_backward(conv2d_forward(x, w)[1], g)
+    for in_c, out_c in ((1, 4), (5, 3)):
+        x = rng.uniform((2, in_c, 6, 8), -1, 1)
+        w = rng.uniform((out_c, in_c, 3, 3), -1, 1)
+        g = rng.uniform((2, out_c, 6, 8), -1, 1)
+        _, gw, _ = conv2d_backward(conv2d_forward(x, w)[1], g)
+        _, tape = conv2d_forward(x, w)
+        gx, gw_only, _ = conv2d_backward(tape, g, grad_input=False)
+        assert gx is None and _same_bits(gw_only, gw) and tape.x_flat is None
+
+
+def test_conv3x3_backward_writes_its_input_gradient_over_the_spent_input(monkeypatch):
+    # in_c >= out_c: both gradients come from one stack of grad_out's 9
+    # windows, and the input gradient goes over the tape's padded input, so
+    # the backward allocates one stack unit, grad_w and small change (within
+    # a page), and not even one image's input gradient.  One image's stack
+    # does not fit here, so the units are 128-column bands, and their
+    # results are those of whole images
+    import tracemalloc
+    import synnet.layers as layers
+    n, in_c, out_c, h, wd = 3, 2, 1, 32, 48
+    rng = RngStream(19)
+    x = rng.uniform((n, in_c, h, wd), -1, 1)
+    w = rng.uniform((out_c, in_c, 3, 3), -1, 1)
+    g = rng.uniform((n, out_c, h, wd), -1, 1)
+    gflat, inner = _in_buffer(g, 3)
+    want = conv2d_backward(conv2d_forward(x, w)[1], g)
+    unit = 9 * out_c * 128 * x.itemsize
+    monkeypatch.setattr(layers, "_L2_BYTES", unit)
+    conv2d_backward(conv2d_forward(x, w)[1], inner, padded=gflat)  # first-call allocations
     _, tape = conv2d_forward(x, w)
-    gx, gw_only, _ = conv2d_backward(tape, g, grad_input=False)
-    assert gx is None and _same_bits(gw_only, gw) and tape.x_flat is None
+    spent = tape.x_flat
+    tracemalloc.start()
+    try:
+        gx, gw, _ = conv2d_backward(tape, inner, padded=gflat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(gx, spent) and tape.x_flat is None
+    assert unit + gw.nbytes + 4096 < gx[0].nbytes
+    assert peak <= unit + gw.nbytes + 4096
+    assert _same_bits(gx, want[0])
+    assert np.max(np.abs(gw - want[1])) <= 1e-6 * np.max(np.abs(want[1]))
+
+
+@pytest.mark.parametrize("k, in_c, out_c", [(1, 4, 2), (1, 2, 4), (3, 4, 2), (3, 2, 4)])
+def test_conv_backward_leaves_the_callers_input_as_it_was(k, in_c, out_c):
+    # a 1x1 tape references the caller's input and a 3x3 tape a padded copy
+    # of it, which the backward writes over; either way the input is intact
+    rng = RngStream(20)
+    x = rng.uniform((2, in_c, 5, 7), -1, 1)
+    kept = x.copy()
+    _, tape = conv2d_forward(x, rng.uniform((out_c, in_c, k, k), -1, 1), np.zeros(out_c))
+    gx, _, _ = conv2d_backward(tape, rng.uniform((2, out_c, 5, 7), -1, 1))
+    assert _same_bits(x, kept) and not np.shares_memory(gx, x)
 
 
 @pytest.mark.parametrize("in_c, out_c", [(2, 5), (5, 5)], ids=["stacked", "per-offset"])

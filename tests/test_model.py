@@ -263,6 +263,40 @@ def test_backward_rebuilds_each_conv_input_byte_equal(kind, monkeypatch):
     assert len(rebuilt) == topo.out_arms * (topo.depth + 1) and not convolved
 
 
+@pytest.mark.parametrize("kind", ["siso", "mimo"])
+def test_backward_frees_each_decoder_input_gradient_before_the_encoder(kind, monkeypatch):
+    # each decoder block's skip gradients are copied out of its conv's input
+    # gradient, so no view keeps that buffer alive into the encoder backward
+    import weakref
+    topo = _tiny(kind)
+    model, params, state = build_model(topo, RngStream(23))
+    rng = RngStream(24)
+    inputs = [rng.uniform((2, 1, 8, 8), 0, 1) for _ in range(topo.in_arms)]
+    conv_backward, pool_backward = layers.conv2d_backward, layers.maxpool2x2_backward
+    decoder_grads, checked = [], []
+
+    def record(tape, grad_out, **kwargs):
+        gx, gw, gb = conv_backward(tape, grad_out, **kwargs)
+        if gx is not None and tape.weights.shape[-1] == 3 and not checked:
+            buf = gx
+            while isinstance(buf.base, np.ndarray):
+                buf = buf.base
+            decoder_grads.append(weakref.ref(buf))
+        return gx, gw, gb
+
+    def check(tape, grad_out):
+        if not checked:
+            checked.append([ref() is None for ref in decoder_grads])
+        return pool_backward(tape, grad_out)
+
+    monkeypatch.setattr(layers, "conv2d_backward", record)
+    monkeypatch.setattr(layers, "maxpool2x2_backward", check)
+    preds, trace = model.forward(params, state, inputs, mode="train")
+    model.backward(params, trace, [rng.uniform(p.shape, -1, 1) for p in preds])
+    assert len(decoder_grads) == topo.out_arms * topo.depth
+    assert checked == [[True] * len(decoder_grads)]
+
+
 def test_paper_scale_training_step_peak_memory():
     # tracemalloc peak of one paper-scale SISO step (depth 3, channels
     # 32/64/64, batch 8, 64x64, joint loss), in units of one 64-channel
@@ -273,7 +307,8 @@ def test_paper_scale_training_step_peak_memory():
     # place without a mask, and freeing each conv input and skip map at its
     # last use, to 6.0; rebuilding the decoder and head conv inputs in the
     # backward instead of keeping them on the tape, and writing each conv
-    # output chunk by chunk, to 4.1.
+    # output chunk by chunk, to 4.1.  Writing each 3x3 conv's input gradient
+    # over its input, with an L2-sized stack on top, took it to 4.3.
     import tracemalloc
     from synnet import optim
     from synnet.loss import LossWeights
