@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data, metrics, optim, persist, verify
 from .model import SynNetModel
-from .tensor import DTYPES, RngStream
+from .tensor import DTYPES, ParameterError, RngStream
 
 HISTORY_COLUMNS = ("iter", "epoch", "l2", "ssim", "tv", "wd", "total")
 
@@ -32,12 +32,16 @@ def _parse_size(text: str):
         h, w = text.lower().split("x")
         return int(h), int(w)
     except ValueError:
-        raise ValueError(f"bad size syntax {text!r}, expected HxW")
+        raise ParameterError(f"--size: bad size syntax {text!r}, expected HxW") from None
 
 
 def _load_config(path: str) -> persist.RunConfig:
-    with open(path) as f:
-        return persist.parse_config(f.read())
+    """The run config in the file at `path`; its errors read `<path>:<line>: ...`."""
+    try:
+        with open(path) as f:
+            return persist.parse_config(f.read())
+    except persist.ConfigError as exc:
+        raise persist.ConfigError(f"{path}:{str(exc).split(' ', 1)[1]}") from None
 
 
 def _pairs(samples, cfg):
@@ -77,17 +81,18 @@ def cmd_train(args) -> int:
     tcfg = persist.train_config_from_config(cfg)
     model = SynNetModel(topo)
 
-    manifest = data.load_manifest(args.data)
-    train_ids, _ = data.split_ids(manifest.sample_ids, cfg.train_frac)
-    dataset = _pairs([data.load_sample(manifest, sid) for sid in train_ids], cfg)
-
     if args.resume:
         cp = persist.load_checkpoint(args.resume)
+        persist.check_resume(cfg, cp, args.config)
         params, state, opt_state = persist.unpack_training(cp, cfg.lr, cfg.momentum)
     else:
         params, state = model.init_params(RngStream(cfg.seed).child("init"),
                                           dtype=cfg.dtype)
         opt_state = optim.OptimState(lr=cfg.lr, momentum=cfg.momentum)
+
+    manifest = data.load_manifest(args.data)
+    train_ids, _ = data.split_ids(manifest.sample_ids, cfg.train_frac)
+    dataset = _pairs([data.load_sample(manifest, sid) for sid in train_ids], cfg)
 
     augment_fn = data.augment if cfg.augment else None
     params, opt_state, history = optim.train(
@@ -119,10 +124,10 @@ def cmd_predict(args) -> int:
     topo = model.topology
     in_files = args.input.split(",")
     out_files = args.output.split(",")
-    if len(in_files) != topo.in_arms:
-        raise ValueError(f"{topo.kind} needs {topo.in_arms} input file(s), got {len(in_files)}")
-    if len(out_files) != topo.out_arms:
-        raise ValueError(f"{topo.kind} needs {topo.out_arms} output file(s), got {len(out_files)}")
+    for flag, files, arms in (("--input", in_files, topo.in_arms),
+                              ("--output", out_files, topo.out_arms)):
+        if len(files) != arms:
+            raise ParameterError(f"{flag}: {topo.kind} needs {arms} file(s), got {len(files)}")
     dtype = DTYPES[cfg.dtype]
     inputs = [data.load_pgm(path).astype(dtype) for path in in_files]
     preds, _ = model.forward(params, state, inputs, mode="infer")

@@ -180,7 +180,8 @@ def augment(pair, rng: RngStream):
 # ---------------------------------------------------------------------------
 
 class PgmParseError(ValueError):
-    """Malformed PGM file; message carries the byte offset."""
+    """Malformed PGM file; the message starts with the path and carries the
+    byte offset."""
 
 
 def save_pgm(path: str, t: np.ndarray):
@@ -214,29 +215,29 @@ def load_pgm(path: str) -> np.ndarray:
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise PgmParseError(f"unexpected end of header at byte {start}")
+            raise PgmParseError(f"{path}: unexpected end of header at byte {start}")
         return raw[start:pos], start
 
     magic, off = token()
     if magic != b"P5":
-        raise PgmParseError(f"bad magic {magic!r} at byte {off}")
+        raise PgmParseError(f"{path}: bad magic {magic!r} at byte {off}")
     fields = []
     for name in ("width", "height", "maxval"):
         tok, off = token()
         try:
             fields.append(int(tok))
         except ValueError:
-            raise PgmParseError(f"non-numeric header field {tok!r} at byte {off}")
+            raise PgmParseError(f"{path}: non-numeric header field {tok!r} at byte {off}")
         if name != "maxval" and fields[-1] <= 0:
-            raise PgmParseError(f"non-positive {name} {fields[-1]} at byte {off}")
+            raise PgmParseError(f"{path}: non-positive {name} {fields[-1]} at byte {off}")
     w, h, maxval = fields
     if maxval != 255:
-        raise PgmParseError(f"unsupported maxval {maxval} at byte {off}")
+        raise PgmParseError(f"{path}: unsupported maxval {maxval} at byte {off}")
     pos += 1  # single whitespace after maxval
     body = raw[pos:pos + h * w]
     if len(body) != h * w:
         raise PgmParseError(
-            f"truncated payload at byte {pos + len(body)}: "
+            f"{path}: truncated payload at byte {pos + len(body)}: "
             f"expected {h * w} bytes, got {len(body)}")
     img = np.frombuffer(body, dtype=np.uint8).reshape(h, w)
     return (img.astype(np.float64) / 255.0)[None, None]

@@ -32,7 +32,8 @@ Every forward returns a tape carrying exactly what its backward needs:
     the backward (the model does so for decoder and head convs);
   - batchnorm: x_hat, the per-channel 1/std, gamma and beta, from which
     `batchnorm_output` rebuilds the forward's output bit for bit;
-  - pool and unpool: the argmax offsets, one uint8 per pooled value.
+  - pool and unpool: the pool's argmax offsets, a bare uint8 array of the
+    pooled shape returned beside its output, which nothing writes over.
 Conv and batchnorm tapes are consumed by their backward, which reuses or
 frees the buffers they hold: a 3x3 conv backward writes the input gradient
 over its padded input and returns the interior view, a 1x1 one drops its
@@ -503,19 +504,6 @@ def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
 # 2x2 max pooling with stored argmax indices, and index-based unpooling
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PoolIndices:
-    """Per-output-cell argmax offset 0..3 within its 2x2 window (row-major)."""
-    shape: tuple                 # pooled (n, c, hh, ww)
-    offsets: np.ndarray          # uint8, same shape
-
-
-@dataclass
-class PoolTape:
-    idx: PoolIndices
-    in_shape: tuple
-
-
 def _corners(x: np.ndarray):
     """The four strided views x[:, :, u::2, v::2], in offset order 0..3."""
     return [x[:, :, u::2, v::2] for u in (0, 1) for v in (0, 1)]
@@ -533,6 +521,7 @@ def _corner_mask(offsets: np.ndarray, o: int) -> np.ndarray:
 
 
 def maxpool2x2_forward(x: np.ndarray):
+    """(pooled, offsets): each value's uint8 argmax offset 0..3 in its window."""
     check_4d(x, "x")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
@@ -548,11 +537,10 @@ def maxpool2x2_forward(x: np.ndarray):
         # on a tie np.maximum returns its second argument, the running max,
         # so of +0.0 and -0.0 the earlier corner's zero is kept
         running = np.maximum(corner, running, out=best)
-    idx = PoolIndices(best.shape, offsets)
-    return best, idx, PoolTape(idx, x.shape)
+    return best, offsets
 
 
-def _scatter_2x2(values: np.ndarray, idx: PoolIndices, out: np.ndarray | None = None):
+def _scatter_2x2(values: np.ndarray, offsets: np.ndarray, out: np.ndarray | None = None):
     """Each value at its recorded offset in a 2x2 block, +0.0 elsewhere; into
     `out` if given."""
     n, c, hh, ww = values.shape
@@ -565,44 +553,39 @@ def _scatter_2x2(values: np.ndarray, idx: PoolIndices, out: np.ndarray | None = 
     # a bitwise AND with an all-ones or all-zero mask writes a corner's
     # value or +0.0 exactly, in one pass per corner
     for o, corner in enumerate(_corners(_bits(out))):
-        np.bitwise_and(bits, _corner_mask(idx.offsets, o), out=corner)
+        np.bitwise_and(bits, _corner_mask(offsets, o), out=corner)
     return out
 
 
-def _gather_2x2(x: np.ndarray, idx: PoolIndices) -> np.ndarray:
+def _gather_2x2(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The value at each 2x2 block's recorded offset."""
     out = None
     for o, corner in enumerate(_corners(_bits(x))):
-        picked = np.bitwise_and(corner, _corner_mask(idx.offsets, o))
+        picked = np.bitwise_and(corner, _corner_mask(offsets, o))
         out = picked if out is None else np.bitwise_or(out, picked, out=out)
     return out.view(x.dtype)
 
 
-def maxpool2x2_backward(tape: PoolTape, grad_out: np.ndarray):
-    if grad_out.shape != tape.idx.shape:
+def maxpool2x2_backward(offsets: np.ndarray, grad_out: np.ndarray):
+    if grad_out.shape != offsets.shape:
         raise ShapeError(
-            f"grad_out shape {grad_out.shape} != pooled shape {tape.idx.shape}"
+            f"grad_out shape {grad_out.shape} != pooled shape {offsets.shape}"
         )
-    return _scatter_2x2(grad_out, tape.idx)
+    return _scatter_2x2(grad_out, offsets)
 
 
-@dataclass
-class UnpoolTape:
-    idx: PoolIndices
-
-
-def unpool2x2_forward(v: np.ndarray, idx: PoolIndices, out: np.ndarray | None = None):
+def unpool2x2_forward(v: np.ndarray, offsets: np.ndarray, out: np.ndarray | None = None):
     """Scatter v to its pool's argmax positions, into `out` if given."""
     check_4d(v, "v")
-    if v.shape != idx.shape:
-        raise ShapeError(f"values shape {v.shape} != indices shape {idx.shape}")
-    return _scatter_2x2(v, idx, out), UnpoolTape(idx)
+    if v.shape != offsets.shape:
+        raise ShapeError(f"values shape {v.shape} != offsets shape {offsets.shape}")
+    return _scatter_2x2(v, offsets, out)
 
 
-def unpool2x2_backward(tape: UnpoolTape, grad_out: np.ndarray):
-    n, c, hh, ww = tape.idx.shape
+def unpool2x2_backward(offsets: np.ndarray, grad_out: np.ndarray):
+    n, c, hh, ww = offsets.shape
     if grad_out.shape != (n, c, hh * 2, ww * 2):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != unpooled shape {(n, c, hh*2, ww*2)}"
         )
-    return _gather_2x2(grad_out, tape.idx)
+    return _gather_2x2(grad_out, offsets)

@@ -5,12 +5,12 @@ Image size:     any h x w. The forward zero-pads every input arm to a
                 pool halves an even size, and crops every prediction back to
                 h x w (`data.crop_back`); the backward zero-pads each
                 prediction gradient back onto the padded frame.
-Block:          conv3x3 -> batchnorm -> ReLU (`_block`), where
-                `layers.batchnorm_forward` includes the ReLU and centres the
-                conv output in place; at inference batchnorm is folded into
-                the conv (`layers.batchnorm_fold`).
-Encoder stage:  block -> maxpool2x2 (indices kept).
-Decoder stage:  unpool (matched encoder indices) -> concat matched encoder
+Block:          conv3x3 -> batchnorm -> ReLU, every one run by `_block`
+                in both modes, where `layers.batchnorm_forward` includes
+                the ReLU and centres the conv output in place; at inference
+                batchnorm is folded into the conv (`layers.batchnorm_fold`).
+Encoder stage:  block -> maxpool2x2 (argmax offsets kept).
+Decoder stage:  unpool (matched encoder offsets) -> concat matched encoder
                 pre-pool feature maps -> block.  `_decoder_input` writes the
                 unpool and the skip maps straight into the block conv's
                 zero-padded input buffer (`layers.zero_padded`); each skip
@@ -19,9 +19,10 @@ Decoder stage:  unpool (matched encoder indices) -> concat matched encoder
 Synthesis head: conv1x1 with bias, linear output.
 
 Trace:          per block, its conv tape and batchnorm tape (x_hat, gamma,
-                beta; no ReLU mask); per pool, its argmax offsets; per fuse
-                conv, its input.  An encoder block's conv tape keeps its
-                padded input.  A decoder block's and a head's conv tape keep
+                beta; no ReLU mask); per pool, its uint8 argmax offsets,
+                which the matched decoder's entry shares; per fuse conv,
+                its input.  An encoder block's conv tape keeps its padded
+                input.  A decoder block's and a head's conv tape keep
                 none, since the backward rebuilds each bit for bit just
                 before its conv backward: a decoder input by `_decoder_input`
                 from the unpool source, which the decoder tape keeps (a
@@ -125,9 +126,9 @@ class Topology:
 @dataclass
 class ForwardTrace:
     """Tapes of one train-mode forward; `backward` pops them, so it is used once."""
-    enc_tapes: list          # [arm][level] -> (block tapes, pool tape)
+    enc_tapes: list          # [arm][level] -> (block tapes, pool offsets)
     fuse_tapes: list         # per decoder arm (or [None] for siso)
-    dec_tapes: list          # [arm][k] -> (unpool source, unpool tape, split, block tapes)
+    dec_tapes: list          # [arm][k] -> (unpool source, pool offsets, split, block tapes)
     head_tapes: list
     crop: data.CropRecord    # where the predictions sit in the padded frame
     consumed: bool = False
@@ -233,19 +234,17 @@ class SynNetModel:
         crop = padded[0][1]
         keep = mode == "train"
 
-        enc_tapes, skips, idxs, bottlenecks = [], [], [], []
+        enc_tapes, skips, bottlenecks = [], [], []
         for a in range(t.in_arms):
             x = padded[a][0]
-            arm_tapes, arm_skips, arm_idx = [], [], []
+            arm_tapes, arm_skips = [], []
             for i in range(t.depth):
-                x, bt = _block(params, state, f"enc.arm{a}.block{i}", x, mode)
+                x, bt = _block(params, state, f"enc.arm{a}.block{i}", lambda: (None, x), mode)
                 arm_skips.append(x)
-                x, idx, pt = layers.maxpool2x2_forward(x)
-                arm_idx.append(idx)
-                arm_tapes.append((bt, pt) if keep else None)
+                x, offsets = layers.maxpool2x2_forward(x)
+                arm_tapes.append((bt, offsets))     # bt is None in infer mode
             enc_tapes.append(arm_tapes)
             skips.append(arm_skips)
-            idxs.append(arm_idx)
             bottlenecks.append(x)
 
         fuse_tapes, dec_tapes, head_tapes, preds = [], [], [], []
@@ -264,25 +263,20 @@ class SynNetModel:
             arm_dec = []
             iarm = t.index_arm(d)
             for i in reversed(range(t.depth)):
-                prefix = f"dec.arm{d}.block{i}"
-                idx = idxs[iarm][i]
-                split = [idx.shape[1]] + [t.channels[i]] * len(t.skip_arms(d))
-                flat, cat = _decoder_input(x, idx, [skips[a][i] for a in t.skip_arms(d)],
-                                           split)
-                for a in t.skip_arms(d):
-                    if last_reader[a] == d:
-                        skips[a][i] = None   # copied for the last time: free it
-                if keep:
-                    y, ct = layers.conv2d_forward(cat, params[f"{prefix}.conv.weight"],
-                                                  padded=flat, keep_input=False)
-                    # the backward rebuilds the input, so its buffer is freed
-                    # before batchnorm allocates
-                    del flat, cat
-                    y, bt = _batchnorm(params, state, prefix, y)
-                    arm_dec.append((x, layers.UnpoolTape(idx), split, [ct, bt]))
-                else:
-                    y, _ = _block(params, state, prefix, cat, mode, padded=flat)
-                    del flat, cat
+                offsets = enc_tapes[iarm][i][1]
+                split = [offsets.shape[1]] + [t.channels[i]] * len(t.skip_arms(d))
+
+                def conv_input():
+                    maps = [skips[a][i] for a in t.skip_arms(d)]
+                    for a in t.skip_arms(d):
+                        if last_reader[a] == d:
+                            skips[a][i] = None   # copied for the last time: free it
+                    return _decoder_input(x, offsets, maps, split)
+
+                # the backward rebuilds the input, so the tape keeps none
+                y, bt = _block(params, state, f"dec.arm{d}.block{i}", conv_input, mode,
+                               keep_input=False)
+                arm_dec.append((x, offsets, split, bt) if keep else None)
                 x = y
             dec_tapes.append(arm_dec)
 
@@ -362,14 +356,14 @@ class SynNetModel:
             add(f"head.arm{d}.conv.bias", gb)
 
             for i in range(t.depth):  # reverse of forward order
-                src, ut, split, tapes = trace.dec_tapes[d].pop()
+                src, offsets, split, tapes = trace.dec_tapes[d].pop()
                 # the skip maps are rebuilt from the encoder blocks' tapes
                 skip_tapes = [trace.enc_tapes[a][i][0][1] for a in t.skip_arms(d)]
                 tapes.append(g)
                 del g
                 g = _block_backward(
                     tapes, add, f"dec.arm{d}.block{i}",
-                    conv_input=lambda: _decoder_input(src, ut.idx, skip_tapes, split)[0])
+                    conv_input=lambda: _decoder_input(src, offsets, skip_tapes, split))
                 # split concat gradient: unpooled path first, then skip maps.
                 # g is the interior of the conv's padded input buffer, so each
                 # skip gradient is copied (or summed) out, and no view keeps
@@ -378,7 +372,7 @@ class SynNetModel:
                 for a, piece in zip(t.skip_arms(d), skips):
                     skip_grads[a][i] = piece.copy() if skip_grads[a][i] is None \
                         else skip_grads[a][i] + piece
-                g = layers.unpool2x2_backward(ut, up)
+                g = layers.unpool2x2_backward(offsets, up)
                 del up, skips, piece
 
             fuse_tape = trace.fuse_tapes.pop(0)
@@ -396,8 +390,8 @@ class SynNetModel:
         for a in range(t.in_arms):
             g = bott_grads[a]
             for i in reversed(range(t.depth)):
-                tapes, pt = trace.enc_tapes[a].pop()
-                g = layers.maxpool2x2_backward(pt, g)
+                tapes, offsets = trace.enc_tapes[a].pop()
+                g = layers.maxpool2x2_backward(offsets, g)
                 if skip_grads[a][i] is not None:
                     g += skip_grads[a][i]
                 tapes.append(g)
@@ -408,44 +402,38 @@ class SynNetModel:
         return grads
 
 
-def _block(params, state, prefix, x, mode, padded=None):
-    """conv3x3 -> batchnorm -> ReLU; returns (y, [conv, batchnorm] tapes), where
-    batchnorm includes the ReLU. Train mode also updates the running statistics
-    in `state`; infer mode runs one conv with batchnorm folded in and returns
-    tapes None. `padded` is x's zero-padded buffer, if x was built in one."""
+def _block(params, state, prefix, conv_input, mode, keep_input=True):
+    """conv3x3 -> batchnorm -> ReLU, every block's forward; returns (y, [conv,
+    batchnorm] tapes).  `conv_input` returns (x's zero-padded buffer, or None
+    for the conv to pad a copy, and x).  Train mode updates the running
+    statistics in `state`; with `keep_input` False the conv tape keeps no
+    input, and the buffer is dropped before batchnorm allocates.  Infer mode
+    runs one conv with batchnorm folded in and returns tapes None."""
+    padded, x = conv_input()
     w = params[f"{prefix}.conv.weight"]
-    if mode == "infer":
-        gamma, beta = params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]
-        mean, var = state[f"{prefix}.bn.running_mean"], state[f"{prefix}.bn.running_var"]
-        x, _ = layers.conv2d_forward(
-            x, *layers.batchnorm_fold(w, gamma, beta, mean, var), padded=padded)
-        return np.maximum(x, 0, out=x), None
-    x, ct = layers.conv2d_forward(x, w, padded=padded)
-    x, bt = _batchnorm(params, state, prefix, x)
-    return x, [ct, bt]
-
-
-def _batchnorm(params, state, prefix, x):
-    """Train-mode batchnorm and ReLU of a block's conv output x; returns
-    (y, tape) and updates the running statistics in `state`. Nothing else
-    reads x, so batchnorm centres it in place."""
+    gamma, beta = params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]
     mean, var = f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
+    if mode == "infer":
+        y, _ = layers.conv2d_forward(
+            x, *layers.batchnorm_fold(w, gamma, beta, state[mean], state[var]), padded=padded)
+        return np.maximum(y, 0, out=y), None
+    y, ct = layers.conv2d_forward(x, w, padded=padded, keep_input=keep_input)
+    del padded, x
     y, bt, state[mean], state[var] = layers.batchnorm_forward(
-        x, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"],
-        state[mean], state[var], out=x)
-    return y, bt
+        y, gamma, beta, state[mean], state[var], out=y)
+    return y, [ct, bt]
 
 
-def _decoder_input(src, idx, skips, split):
+def _decoder_input(src, offsets, skips, split):
     """A decoder block conv's input, built in its zero-padded buffer: src
-    unpooled by the pool indices idx, then each skip map; `split` gives the
+    unpooled by the pool's argmax offsets, then each skip map; `split` gives the
     channel widths.  A skip is an encoder block's output, or that block's
     batchnorm tape, from which the output is rebuilt bit for bit.  Returns
     (buffer, interior)."""
-    n, _, hh, ww = idx.shape
+    n, _, hh, ww = offsets.shape
     bounds = np.cumsum(split)
     flat, cat = layers.zero_padded((n, bounds[-1], 2 * hh, 2 * ww), 3, src.dtype)
-    layers.unpool2x2_forward(src, idx, out=cat[:, :split[0]])
+    layers.unpool2x2_forward(src, offsets, out=cat[:, :split[0]])
     for skip, lo, hi in zip(skips, bounds[:-1], bounds[1:]):
         if isinstance(skip, layers.BatchNormTape):
             layers.batchnorm_output(skip, out=cat[:, lo:hi])
@@ -461,10 +449,10 @@ def _block_backward(tapes, add, prefix, grad_input=True, conv_input=None):
     block's output pushed on top. Each is popped and freed once used, so the
     incoming gradient is gone before the conv's zero-padded gradient buffer,
     into which batchnorm's input gradient is copied, is allocated.
-    `conv_input`, for a conv tape that kept no input, returns that input's
-    zero-padded buffer, rebuilt; it is called once batchnorm's input gradient
-    is freed.  The conv backward writes the input gradient over that buffer
-    (or the kept one) and returns its interior, so it allocates no
+    `conv_input`, for a conv tape that kept no input, rebuilds that input
+    as `_block`'s does; it is called once batchnorm's input gradient is
+    freed.  The conv backward writes the input gradient over the padded
+    buffer (or the kept one) and returns its interior, so it allocates no
     full-size array."""
     g = tapes.pop()
     g, grad_gamma, grad_beta = layers.batchnorm_backward(tapes.pop(), g)
@@ -475,7 +463,7 @@ def _block_backward(tapes, add, prefix, grad_input=True, conv_input=None):
     inner[...] = g
     del g
     if conv_input is not None:
-        ct.x_flat = conv_input()
+        ct.x_flat = conv_input()[0]
     g, grad_w, _ = layers.conv2d_backward(ct, inner, padded=gflat, grad_input=grad_input)
     add(f"{prefix}.conv.weight", grad_w)
     return g

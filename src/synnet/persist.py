@@ -191,14 +191,14 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _value_text(v) -> str:
+    """A setting's value as a config line writes it."""
+    return ",".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
+
+
 def format_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in dc_fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {_value_text(getattr(cfg, f.name))}\n"
+                   for f in dc_fields(RunConfig))
 
 
 def _build(cfg: RunConfig, owner):
@@ -294,8 +294,16 @@ class _Reader:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """The checkpoint at `path`; its CheckpointErrors start with the path."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
+    try:
+        return _parse_checkpoint(r)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(r: _Reader) -> Checkpoint:
     if r.take(8, "magic") != _MAGIC:
         raise CheckpointError("bad magic")
     version = r.u32("version")
@@ -357,6 +365,25 @@ def pack_training(topology: Topology, params, state, opt_state: OptimState,
     tensors["optim.iteration"] = np.array([opt_state.iteration], dtype=np.float64)
     tensors["optim.epoch"] = np.array([opt_state.epoch], dtype=np.float64)
     return Checkpoint(topology, tensors, config_text)
+
+
+def check_resume(cfg: RunConfig, cp: Checkpoint, path: str):
+    """Raise ConfigError naming the config file `path`, each differing key and
+    both values, unless `cfg` has the topology and dtype of the checkpoint `cp`."""
+    keys = {f.metadata["attr"]: f.name for f in dc_fields(RunConfig)
+            if f.metadata.get("owner") is Topology}
+    topo = topology_from_config(cfg)
+    diffs = [(keys.get(f.name, f.name), getattr(topo, f.name), getattr(cp.topology, f.name))
+             for f in dc_fields(Topology) if getattr(topo, f.name) != getattr(cp.topology, f.name)]
+    names = {np.dtype(t): name for name, t in DTYPES.items()}
+    stored = ",".join(sorted({names[a.dtype] for n, a in cp.tensors.items()
+                              if n.startswith("param.")}))
+    if stored not in ("", cfg.dtype):
+        diffs.append(("dtype", cfg.dtype, stored))
+    if diffs:
+        raise ConfigError(f"{path}: does not match the checkpoint it resumes: " + "; ".join(
+            f"{key} = {_value_text(mine)}, checkpoint {_value_text(theirs)}"
+            for key, mine, theirs in diffs))
 
 
 def _check_tensors(group: str, got: dict, want: dict):

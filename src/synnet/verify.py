@@ -313,17 +313,16 @@ def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
     # maxpool on tie-free input
     xp = _u(rng, (2, 2, 6, 6))
     cotp = _u(rng, (2, 2, 3, 3))
-    _, _, tp = layers.maxpool2x2_forward(xp)
-    check("maxpool/input", layers.maxpool2x2_backward(tp, cotp),
+    _, offp = layers.maxpool2x2_forward(xp)
+    check("maxpool/input", layers.maxpool2x2_backward(offp, cotp),
           finite_diff(lambda v: float((layers.maxpool2x2_forward(v)[0] * cotp).sum()), xp.copy(), h_step), 1e-6)
 
     # unpool
     vals = _u(rng, (2, 2, 3, 3), 0.1, 1.0)
-    _, idx, _ = layers.maxpool2x2_forward(_u(rng, (2, 2, 6, 6)))
+    _, offu = layers.maxpool2x2_forward(_u(rng, (2, 2, 6, 6)))
     cotu = _u(rng, (2, 2, 6, 6))
-    _, tu = layers.unpool2x2_forward(vals, idx)
-    check("unpool/input", layers.unpool2x2_backward(tu, cotu),
-          finite_diff(lambda v: float((layers.unpool2x2_forward(v, idx)[0] * cotu).sum()), vals.copy(), h_step), 1e-7)
+    check("unpool/input", layers.unpool2x2_backward(offu, cotu),
+          finite_diff(lambda v: float((layers.unpool2x2_forward(v, offu) * cotu).sum()), vals.copy(), h_step), 1e-7)
 
     # L2 loss, plain and weighted
     pred = _u(rng, (2, 1, 8, 8), 0.0, 1.0)

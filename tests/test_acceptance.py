@@ -93,9 +93,9 @@ def test_acceptance_oracle_equivalence():
     pool_ok = True
     for i in range(1000):
         x = rng.uniform((1, 1, 4, 4), -1, 1, dtype="double")
-        pooled, idx, _ = maxpool2x2_forward(x)
+        pooled, offsets = maxpool2x2_forward(x)
         op, oo = verify.maxpool_oracle(x)
-        pool_ok &= np.array_equal(pooled, op) and np.array_equal(idx.offsets, oo)
+        pool_ok &= np.array_equal(pooled, op) and np.array_equal(offsets, oo)
 
     pred = rng.uniform((1, 1, 14, 14), 0, 1, dtype="double")
     targ = rng.uniform((1, 1, 14, 14), 0, 1, dtype="double")
@@ -115,10 +115,10 @@ def test_acceptance_structure_preservation(tmp_path):
 
     # unpool places values exactly and zeros everywhere else
     x = rng.uniform((2, 3, 8, 8), 0, 1, dtype="double")
-    pooled, idx, _ = maxpool2x2_forward(x)
-    up, _ = unpool2x2_forward(pooled, idx)
+    pooled, offsets = maxpool2x2_forward(x)
+    up = unpool2x2_forward(pooled, offsets)
     placed_ok = np.count_nonzero(up) == pooled.size
-    re_pooled, _, _ = maxpool2x2_forward(up)
+    re_pooled, _ = maxpool2x2_forward(up)
     roundtrip_ok = np.array_equal(re_pooled, pooled)
 
     # padding and cropping restores the original bit-for-bit

@@ -119,7 +119,7 @@ def test_train_rejects_config_value_outside_allowed_set(tmp_path, capsys):
                "--out", str(tmp_path / "x.ckpt")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        "error: ConfigError: line 2: dtype must be one of single, double")
+        f"error: ConfigError: {cfg_path}:2: dtype must be one of single, double")
 
 
 def test_train_resume_matches_single_run(tmp_path):
@@ -133,6 +133,27 @@ def test_train_resume_matches_single_run(tmp_path):
     assert main(["train", "--config", cfg_path, "--data", root,
                  "--out", resumed, "--resume", half_ckpt]) == 0
     assert open(full_ckpt, "rb").read() == open(resumed, "rb").read()
+
+
+@pytest.mark.parametrize("ckpt_cfg, resume_cfg, message", [
+    ("channels = 4,8\n", "", "channels = 4,6, checkpoint 4,8"),
+    ("", "dtype = double\n", "dtype = double, checkpoint single"),
+], ids=["topology", "dtype"])
+def test_train_resume_rejects_a_config_that_differs_from_the_checkpoint(
+        tmp_path, capsys, ckpt_cfg, resume_cfg, message):
+    root = _gen(tmp_path)
+    half_ckpt, _ = _train(tmp_path, root, tag="half", extra_cfg=ckpt_cfg)
+    cfg_path = str(tmp_path / "resume.cfg")
+    with open(cfg_path, "w") as f:
+        f.write(TRAIN_CFG + resume_cfg + "epochs = 4\n")
+    resumed = str(tmp_path / "resumed.ckpt")
+    capsys.readouterr()
+    assert main(["train", "--config", cfg_path, "--data", root,
+                 "--out", resumed, "--resume", half_ckpt]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: {cfg_path}: does not match the checkpoint it resumes: "
+        f"{message}\n")
+    assert not os.path.exists(resumed)
 
 
 def test_predict_pads_and_crops_back(tmp_path, capsys):
@@ -153,10 +174,23 @@ def test_predict_pads_and_crops_back(tmp_path, capsys):
 def test_predict_rejects_wrong_file_count(tmp_path, capsys):
     root = _gen(tmp_path)
     ckpt, _ = _train(tmp_path, root)
+    capsys.readouterr()
     rc = main(["predict", "--ckpt", ckpt, "--input", "a.pgm,b.pgm",
                "--output", "c.pgm"])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: ParameterError: --input: siso needs 1 file(s), got 2\n"
+    assert main(["predict", "--ckpt", ckpt, "--input", "a.pgm",
+                 "--output", "c.pgm,d.pgm"]) == 1
+    assert capsys.readouterr().err == \
+        "error: ParameterError: --output: siso needs 1 file(s), got 2\n"
+
+
+def test_gen_data_rejects_bad_size_syntax(tmp_path, capsys):
+    rc = main(["gen-data", "--out", str(tmp_path / "d"), "--count", "1", "--size", "64"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: ParameterError: --size: bad size syntax '64', expected HxW\n"
 
 
 def test_eval_report_layout_and_means(tmp_path):

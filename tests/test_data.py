@@ -155,6 +155,15 @@ def test_pgm_bad_magic_reports_offset(tmp_path):
         load_pgm(path)
 
 
+def test_pgm_error_starts_with_its_path(tmp_path):
+    path = str(tmp_path / "f.pgm")
+    with open(path, "wb") as f:
+        f.write(b"P5\n4 4\n255\n" + bytes(7))
+    with pytest.raises(PgmParseError) as exc:
+        load_pgm(path)
+    assert str(exc.value) == f"{path}: truncated payload at byte 18: expected 16 bytes, got 7"
+
+
 def test_pgm_truncated_payload(tmp_path):
     path = str(tmp_path / "d.pgm")
     with open(path, "wb") as f:

@@ -545,17 +545,17 @@ def test_maxpool_values_and_offsets():
               [3, 4, 8, 7],
               [9, 1, 1, 1],
               [2, 3, 1, 2]])
-    pooled, idx, _ = maxpool2x2_forward(x)
+    pooled, offsets = maxpool2x2_forward(x)
     assert np.array_equal(pooled[0, 0], [[4, 8], [9, 2]])
     # row-major window offsets: 4 at (1,1)->3, 8 at (1,0)->2, 9 at (0,0)->0
-    assert np.array_equal(idx.offsets[0, 0], [[3, 2], [0, 3]])
+    assert np.array_equal(offsets[0, 0], [[3, 2], [0, 3]])
 
 
 def test_maxpool_tie_break_first_occurrence():
     x = _img([[5, 5], [5, 5]])
-    pooled, idx, _ = maxpool2x2_forward(x)
+    pooled, offsets = maxpool2x2_forward(x)
     assert pooled[0, 0, 0, 0] == 5
-    assert idx.offsets[0, 0, 0, 0] == 0
+    assert offsets[0, 0, 0, 0] == 0
 
 
 def test_maxpool_rejects_odd_dims():
@@ -565,8 +565,8 @@ def test_maxpool_rejects_odd_dims():
 
 def test_maxpool_backward_routes_to_argmax():
     x = _img([[1, 2], [3, 4]])
-    _, _, tape = maxpool2x2_forward(x)
-    g = maxpool2x2_backward(tape, np.ones((1, 1, 1, 1)))
+    _, offsets = maxpool2x2_forward(x)
+    g = maxpool2x2_backward(offsets, np.ones((1, 1, 1, 1)))
     assert np.array_equal(g[0, 0], [[0, 0], [0, 1]])
 
 
@@ -575,9 +575,9 @@ def test_unpool_places_values_and_exact_zeros():
               [3, 4, 8, 7],
               [9, 1, 1, 1],
               [2, 3, 1, 2]])
-    _, idx, _ = maxpool2x2_forward(x)
+    _, offsets = maxpool2x2_forward(x)
     v = _img([[10, 20], [30, 40]])
-    up, _ = unpool2x2_forward(v, idx)
+    up = unpool2x2_forward(v, offsets)
     expect = _img([[0, 0, 0, 0],
                    [0, 10, 20, 0],
                    [30, 0, 0, 0],
@@ -589,27 +589,27 @@ def test_unpool_places_values_and_exact_zeros():
 def test_pool_unpool_roundtrip_recovers_values():
     rng = RngStream(21)
     x = rng.uniform((2, 3, 8, 8), 0, 1, dtype="double")
-    pooled, idx, _ = maxpool2x2_forward(x)
-    up, _ = unpool2x2_forward(pooled, idx)
-    re_pooled, _, _ = maxpool2x2_forward(up)
+    pooled, offsets = maxpool2x2_forward(x)
+    up = unpool2x2_forward(pooled, offsets)
+    re_pooled, _ = maxpool2x2_forward(up)
     assert np.array_equal(re_pooled, pooled)
 
 
 def test_unpool_backward_gathers_at_indices():
     x = _img([[1, 2], [3, 4]])
-    _, idx, _ = maxpool2x2_forward(x)           # argmax at offset 3
+    _, offsets = maxpool2x2_forward(x)           # argmax at offset 3
     v = _img([[7.0]])
-    _, tape = unpool2x2_forward(v, idx)
+    unpool2x2_forward(v, offsets)
     g_out = _img([[10, 20], [30, 40]])
-    g_in = unpool2x2_backward(tape, g_out)
+    g_in = unpool2x2_backward(offsets, g_out)
     assert g_in[0, 0, 0, 0] == 40
 
 
 def test_unpool_rejects_mismatched_indices():
     x = np.zeros((1, 2, 4, 4))
-    _, idx, _ = maxpool2x2_forward(x)
+    _, offsets = maxpool2x2_forward(x)
     with pytest.raises(ShapeError):
-        unpool2x2_forward(np.zeros((1, 3, 2, 2)), idx)
+        unpool2x2_forward(np.zeros((1, 3, 2, 2)), offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +693,14 @@ def test_unpool_and_batchnorm_out_are_bit_equal(dtype):
                           rng.uniform((4, 3, 3, 3), -1, 1).astype(dtype))
     x[0, 0, :2] = 0.0
     x[0, 1, :2] = -0.0
-    pooled, idx, _ = maxpool2x2_forward(x)
-    up, _ = unpool2x2_forward(pooled, idx)
+    pooled, offsets = maxpool2x2_forward(x)
+    up = unpool2x2_forward(pooled, offsets)
     flat, inner = zero_padded((2, 6, 8, 8), 3, dtype)
-    up_out, _ = unpool2x2_forward(pooled, idx, out=inner[:, 2:])
+    up_out = unpool2x2_forward(pooled, offsets, out=inner[:, 2:])
     assert np.shares_memory(up_out, flat)
     assert _same_bits(up, up_out) and not inner[:, :2].any()
     with pytest.raises(ShapeError):
-        unpool2x2_forward(pooled, idx, out=inner[:, 1:])
+        unpool2x2_forward(pooled, offsets, out=inner[:, 1:])
 
     # batchnorm centres x in place when handed it as `out`, as the model does
     gamma = rng.uniform((4,), 0.5, 1.5).astype(dtype)

@@ -230,6 +230,72 @@ def test_train_forward_keeps_no_decoder_or_head_conv_input(kind):
     assert all(ft is None or ft.x_flat is not None for ft in trace.fuse_tapes)
 
 
+@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("kind", ["miso", "mimo"])
+def test_every_block_forward_goes_through_block(kind, mode, monkeypatch):
+    # each block is run once, by `_block`, and every 3x3 conv and batchnorm
+    # of a forward runs inside it
+    from synnet import model as model_mod
+    topo = _tiny(kind)
+    model, params, state = build_model(topo, RngStream(25))
+    rng = RngStream(26)
+    inputs = [rng.uniform((2, 1, 8, 8), 0, 1) for _ in range(topo.in_arms)]
+    block, conv, batchnorm = model_mod._block, layers.conv2d_forward, layers.batchnorm_forward
+    blocks, outside = [], []
+
+    def record_block(params, state, prefix, *args, **kwargs):
+        blocks.append(prefix)
+        try:
+            return block(params, state, prefix, *args, **kwargs)
+        finally:
+            blocks.append(None)
+
+    def inside(fn, name):
+        def run(*args, **kwargs):
+            if (name == "batchnorm" or args[1].shape[-1] == 3) and blocks[-1:] in ([], [None]):
+                outside.append(name)
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(model_mod, "_block", record_block)
+    monkeypatch.setattr(layers, "conv2d_forward", inside(conv, "conv3x3"))
+    monkeypatch.setattr(layers, "batchnorm_forward", inside(batchnorm, "batchnorm"))
+    model.forward(params, state, inputs, mode=mode)
+    want = [n[:-len(".bn.gamma")] for n in model.param_shapes() if n.endswith(".bn.gamma")]
+    assert sorted(p for p in blocks if p is not None) == sorted(want)
+    assert outside == []
+
+
+@pytest.mark.parametrize("kind", ["siso", "mimo"])
+def test_decoder_conv_input_is_freed_before_its_batchnorm(kind, monkeypatch):
+    # the train forward's tape keeps no decoder conv input, so its padded
+    # buffer is dead before batchnorm allocates
+    import weakref
+    from synnet import model as model_mod
+    topo = _tiny(kind)
+    model, params, state = build_model(topo, RngStream(27))
+    rng = RngStream(28)
+    inputs = [rng.uniform((2, 1, 8, 8), 0, 1) for _ in range(topo.in_arms)]
+    decoder_input, batchnorm = model_mod._decoder_input, layers.batchnorm_forward
+    buffers, alive = [], []
+
+    def record(*args):
+        flat, cat = decoder_input(*args)
+        buffers.append(weakref.ref(flat))
+        return flat, cat
+
+    def check(*args, **kwargs):
+        alive.extend(ref() is not None for ref in buffers)
+        return batchnorm(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "_decoder_input", record)
+    monkeypatch.setattr(layers, "batchnorm_forward", check)
+    model.forward(params, state, inputs, mode="train")
+    assert len(buffers) == topo.out_arms * topo.depth
+    # each decoder batchnorm sees every buffer built so far, its own included
+    assert len(alive) > 0 and not any(alive)
+
+
 @pytest.mark.parametrize("kind", ["mimo", "miso", "siso"],
                          ids=["mimo-full-skips", "miso", "siso"])
 def test_backward_rebuilds_each_conv_input_byte_equal(kind, monkeypatch):

@@ -263,6 +263,15 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_error_starts_with_its_path(tmp_path):
+    path = str(tmp_path / "bad")
+    with open(path, "wb") as f:
+        f.write(b"SYNNETCK" + bytes(2))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: truncated checkpoint while reading version"
+
+
 def test_checkpoint_truncation_names_missing_field(tmp_path):
     path = str(tmp_path / "t")
     save_checkpoint(path, _ckpt("single"))
@@ -391,6 +400,24 @@ def _packed():
     topo = Topology(kind="siso", depth=1, channels=(4,), final_width=4)
     _, params, state = build_model(topo, RngStream(6))
     return pack_training(topo, params, state, OptimState(), "")
+
+
+def test_check_resume_names_each_differing_key():
+    # _ckpt is a single-precision siso checkpoint with channels 4,6 and
+    # final_width 4, the config file defaults
+    base = "depth = 2\nchannels = 4,6\nfinal_width = 4\n"
+    persist.check_resume(parse_config(base), _ckpt("single"), "a.cfg")
+    cfg = parse_config(base + "topology = miso\ninput_modalities = m1,m2\n"
+                       "dtype = double\nfinal_width = 3\n")
+    with pytest.raises(ConfigError) as exc:
+        persist.check_resume(cfg, _ckpt("single"), "a.cfg")
+    assert str(exc.value) == ("a.cfg: does not match the checkpoint it resumes: "
+                              "topology = miso, checkpoint siso; final_width = 3, "
+                              "checkpoint 4; dtype = double, checkpoint single")
+    cp = _ckpt("single")
+    cp.topology = dataclasses.replace(cp.topology, in_channels=3)
+    with pytest.raises(ConfigError, match="in_channels = 1, checkpoint 3$"):
+        persist.check_resume(parse_config(base), cp, "a.cfg")
 
 
 def test_unpack_rejects_missing_tensor():

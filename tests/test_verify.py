@@ -55,10 +55,10 @@ def _pool_cases():
 def test_maxpool_oracle_agrees_with_fast_path():
     offsets_seen = set()
     for x in _pool_cases():
-        pooled, idx, _ = maxpool2x2_forward(x)
+        pooled, offsets = maxpool2x2_forward(x)
         opooled, ooffs = maxpool_oracle(x)
         assert _same_bits(pooled, opooled)
-        assert np.array_equal(idx.offsets, ooffs)
+        assert np.array_equal(offsets, ooffs)
         offsets_seen.update(np.unique(ooffs).tolist())
     assert offsets_seen == {0, 1, 2, 3}
 
@@ -68,18 +68,18 @@ def test_unpool_and_pool_gradient_agree_with_oracles():
     # the unpool gradient; non-argmax cells must hold +0.0, not -0.0
     rng = RngStream(7)
     for x in _pool_cases():
-        _, idx, pool_tape = maxpool2x2_forward(x)
-        n, c, hh, ww = idx.shape
+        _, offsets = maxpool2x2_forward(x)
+        n, c, hh, ww = offsets.shape
         values = rng.uniform((n, c, hh, ww), -1, 1, dtype="double").astype(x.dtype)
         values.flat[::3] = -0.0
         grad = rng.uniform((n, c, 2 * hh, 2 * ww), -1, 1, dtype="double").astype(x.dtype)
         grad.flat[::5] = -0.0
-        up, unpool_tape = unpool2x2_forward(values, idx)
-        assert _same_bits(up, unpool_oracle(values, idx.offsets))
-        assert _same_bits(maxpool2x2_backward(pool_tape, values),
-                          unpool_oracle(values, idx.offsets))
-        assert _same_bits(unpool2x2_backward(unpool_tape, grad),
-                          unpool_grad_oracle(grad, idx.offsets))
+        up = unpool2x2_forward(values, offsets)
+        assert _same_bits(up, unpool_oracle(values, offsets))
+        assert _same_bits(maxpool2x2_backward(offsets, values),
+                          unpool_oracle(values, offsets))
+        assert _same_bits(unpool2x2_backward(offsets, grad),
+                          unpool_grad_oracle(grad, offsets))
 
 
 def test_maxpool_oracle_tie_break():
