@@ -44,20 +44,31 @@ def _load_config(path: str) -> persist.RunConfig:
         raise persist.ConfigError(f"{path}:{str(exc).split(' ', 1)[1]}") from None
 
 
-def _pairs(samples, cfg):
-    """(inputs, targets) training pairs in the configured dtype."""
+def _pairs(manifest, sample_ids, cfg):
+    """Per sample id, in turn, its (inputs, targets) pair in the configured
+    dtype; only the modalities the config names are read."""
     dtype = DTYPES[cfg.dtype]
-    return [([t.astype(dtype) for t in inputs], [t.astype(dtype) for t in targets])
-            for inputs, targets in data.training_pairs(
-                samples, cfg.input_modalities, cfg.output_modalities)]
+    mods = (*cfg.input_modalities, *cfg.output_modalities)
+    for sid in sample_ids:
+        [(inputs, targets)] = data.training_pairs(
+            [data.load_sample(manifest, sid, mods)],
+            cfg.input_modalities, cfg.output_modalities)
+        # rebound, so the decoded images are freed before the yield
+        inputs = [t.astype(dtype) for t in inputs]
+        targets = [t.astype(dtype) for t in targets]
+        yield inputs, targets
 
 
-def _scores(model, params, state, dataset):
-    """Per pair, the (PSNR, SSIM) of each head."""
-    for inputs, targets in dataset:
+def _scores(model, params, state, sample_ids, pairs):
+    """(sample id, head, PSNR, SSIM) per head of each pair, one infer forward
+    at a time; a non-finite prediction raises ParameterError naming both."""
+    for sid, (inputs, targets) in zip(sample_ids, pairs):
         preds, _ = model.forward(params, state, inputs, mode="infer")
-        yield [(metrics.psnr(pred, targ), metrics.ssim_standard(pred, targ))
-               for pred, targ in zip(preds, targets)]
+        for head, (pred, targ) in enumerate(zip(preds, targets)):
+            if not np.isfinite(pred).all():
+                raise ParameterError(f"sample {sid} head {head}: prediction has "
+                                     "non-finite values")
+            yield sid, head, metrics.psnr(pred, targ), metrics.ssim_standard(pred, targ)
 
 
 def _write_history(path, history):
@@ -92,7 +103,7 @@ def cmd_train(args) -> int:
 
     manifest = data.load_manifest(args.data)
     train_ids, _ = data.split_ids(manifest.sample_ids, cfg.train_frac)
-    dataset = _pairs([data.load_sample(manifest, sid) for sid in train_ids], cfg)
+    dataset = list(_pairs(manifest, train_ids, cfg))
 
     augment_fn = data.augment if cfg.augment else None
     params, opt_state, history = optim.train(
@@ -105,8 +116,7 @@ def cmd_train(args) -> int:
         _write_history(args.history, history)
 
     # final train-set quality, infer mode
-    psnrs, ssims = zip(*(s for pair in _scores(model, params, state, dataset)
-                         for s in pair))
+    _, _, psnrs, ssims = zip(*_scores(model, params, state, train_ids, dataset))
     print(f"final train PSNR={_fmt(float(np.mean(psnrs)))} dB "
           f"SSIM={_fmt(float(np.mean(ssims)))}")
     return 0
@@ -140,11 +150,9 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     model, params, state, cfg = _restore_model(args.ckpt)
     manifest = data.load_manifest(args.data)
-    dataset = _pairs([data.load_sample(manifest, sid) for sid in manifest.sample_ids], cfg)
-    rows = []
-    for sid, scores in zip(manifest.sample_ids, _scores(model, params, state, dataset)):
-        for head, (p, s) in enumerate(scores):
-            rows.append((sid, head, p, s))
+    ids = manifest.sample_ids
+    # one sample at a time: only the report rows grow with the dataset
+    rows = list(_scores(model, params, state, ids, _pairs(manifest, ids, cfg)))
     mean_psnr = float(np.mean([r[2] for r in rows]))
     mean_ssim = float(np.mean([r[3] for r in rows]))
     with open(args.report, "w", newline="") as f:

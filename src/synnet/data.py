@@ -185,8 +185,13 @@ class PgmParseError(ValueError):
 
 
 def save_pgm(path: str, t: np.ndarray):
+    """Write a (1, 1, h, w) image of values in [0, 1] as an 8-bit PGM; a
+    non-finite value raises ParameterError naming the path, and nothing is
+    written."""
     if t.ndim != 4 or t.shape[0] != 1 or t.shape[1] != 1:
         raise ShapeError(f"save_pgm expects a (1,1,h,w) tensor, got {t.shape}")
+    if not np.isfinite(t).all():
+        raise ParameterError(f"{path}: image has non-finite values")
     if t.min() < 0 or t.max() > 1:
         raise ParameterError("save_pgm expects values in [0, 1]")
     h, w = t.shape[2], t.shape[3]
@@ -327,9 +332,13 @@ def load_manifest(root: str) -> DatasetManifest:
     return DatasetManifest(root, ids, h, w)
 
 
-def load_sample(manifest: DatasetManifest, sample_id: str) -> PhantomSample:
+def load_sample(manifest: DatasetManifest, sample_id: str,
+                modalities=MODALITIES) -> PhantomSample:
+    """A sample's images of `modalities` (names or aliases), each file read
+    once; the others are not read."""
     sdir = os.path.join(manifest.root, sample_id)
-    mods = {m: load_pgm(os.path.join(sdir, f"{m}.pgm")) for m in MODALITIES}
+    names = dict.fromkeys(canonical_modality(m) for m in modalities)
+    mods = {m: load_pgm(os.path.join(sdir, f"{m}.pgm")) for m in names}
     return PhantomSample(sample_id, mods)
 
 

@@ -269,11 +269,14 @@ def save_checkpoint(path: str, cp: Checkpoint):
 
 
 class _Reader:
+    """Reads fields in order from a checkpoint's bytes, through a memoryview
+    so that a taken slice is not a copy."""
+
     def __init__(self, raw: bytes):
-        self.raw = raw
+        self.raw = memoryview(raw)
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.raw):
             raise CheckpointError(f"truncated checkpoint while reading {what}")
         b = self.raw[self.pos:self.pos + n]
@@ -288,7 +291,7 @@ class _Reader:
 
     def text(self, n: int, what: str) -> str:
         try:
-            return self.take(n, what).decode()
+            return bytes(self.take(n, what)).decode()
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{what} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
@@ -343,7 +346,8 @@ def _parse_checkpoint(r: _Reader) -> Checkpoint:
             arr = arr.reshape(dims)
         except ValueError as exc:    # no data, but dims too large for NumPy
             raise CheckpointError(f"tensor {name!r}: dims {dims}: {exc}") from None
-        tensors[name] = arr.astype(_TAG_DTYPES[tag]).copy()
+        # astype copies, so the tensor owns its data, apart from the file bytes
+        tensors[name] = arr.astype(_TAG_DTYPES[tag])
     clen = r.u32("config length")
     config_text = r.text(clen, "config text")
     return Checkpoint(topo, tensors, config_text, version)

@@ -12,7 +12,7 @@ from synnet.cli import main
 from synnet.data import load_pgm, save_pgm, generate_phantom
 from synnet.metrics import psnr, ssim_standard
 from synnet.model import SynNetModel
-from synnet.persist import load_checkpoint, unpack_training
+from synnet.persist import load_checkpoint, save_checkpoint, unpack_training
 
 
 TRAIN_CFG = """
@@ -184,6 +184,86 @@ def test_predict_rejects_wrong_file_count(tmp_path, capsys):
                  "--output", "c.pgm,d.pgm"]) == 1
     assert capsys.readouterr().err == \
         "error: ParameterError: --output: siso needs 1 file(s), got 2\n"
+
+
+def _nan_head_bias(tmp_path, ckpt):
+    """A copy of the checkpoint whose head bias is NaN, so every prediction is."""
+    cp = load_checkpoint(ckpt)
+    cp.tensors["param.head.arm0.conv.bias"][...] = np.nan
+    path = str(tmp_path / "nan.ckpt")
+    save_checkpoint(path, cp)
+    return path
+
+
+def test_predict_fails_by_name_on_a_non_finite_prediction(tmp_path, capsys):
+    root = _gen(tmp_path)
+    ckpt = _nan_head_bias(tmp_path, _train(tmp_path, root)[0])
+    out_path = str(tmp_path / "out.pgm")
+    capsys.readouterr()
+    assert main(["predict", "--ckpt", ckpt, "--input", os.path.join(root, "s0000", "m1.pgm"),
+                 "--output", out_path]) == 1
+    assert capsys.readouterr().err == \
+        f"error: ParameterError: {out_path}: image has non-finite values\n"
+    assert not os.path.exists(out_path)
+
+
+def test_eval_names_the_sample_and_head_of_a_non_finite_prediction(tmp_path, capsys):
+    root = _gen(tmp_path)
+    ckpt = _nan_head_bias(tmp_path, _train(tmp_path, root)[0])
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", ckpt, "--data", root,
+                 "--report", str(tmp_path / "report.csv")]) == 1
+    assert capsys.readouterr().err == \
+        "error: ParameterError: sample s0000 head 0: prediction has non-finite values\n"
+
+
+def test_train_and_eval_read_only_the_configured_modalities(tmp_path):
+    root = _gen(tmp_path)
+    ckpt, _ = _train(tmp_path, root, tag="full")
+    report = str(tmp_path / "full.csv")
+    assert main(["eval", "--ckpt", ckpt, "--data", root, "--report", report]) == 0
+    for sid in data.load_manifest(root).sample_ids:
+        for mod in ("m3", "m4"):
+            os.remove(os.path.join(root, sid, f"{mod}.pgm"))
+    # aliases name the same files as the config's m1 -> m2
+    ckpt2, _ = _train(tmp_path, root, tag="alias",
+                      extra_cfg="input_modalities = t1\noutput_modalities = t2\n")
+    report2 = str(tmp_path / "alias.csv")
+    assert main(["eval", "--ckpt", ckpt2, "--data", root, "--report", report2]) == 0
+    assert open(report, "rb").read() == open(report2, "rb").read()
+    assert main(["eval", "--ckpt", ckpt, "--data", root, "--report", report2]) == 0
+    assert open(report, "rb").read() == open(report2, "rb").read()
+
+
+def test_eval_memory_does_not_grow_with_the_dataset(tmp_path):
+    # eval holds one sample at a time, so its tracemalloc peak over 32
+    # samples is within one sample's decoded images of its peak over 4
+    import tracemalloc
+    from synnet import persist
+    from synnet.model import Topology
+    from synnet.optim import OptimState
+    from synnet.tensor import RngStream
+    h = w = 32
+    topo = Topology(kind="siso", depth=2, channels=(4, 6), final_width=4)
+    params, state = SynNetModel(topo).init_params(RngStream(0).child("init"))
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(ckpt, persist.pack_training(
+        topo, params, state, OptimState(), persist.format_config(persist.RunConfig(
+            depth=2, channels=(4, 6), final_width=4))))
+    peaks = {}
+    for count in (4, 32, 4, 32):    # the first pass of each makes what later ones reuse
+        root = str(tmp_path / f"data{count}")
+        if not os.path.exists(root):
+            data.write_dataset(root, count, h, w, seed=0)
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--ckpt", ckpt, "--data", root,
+                         "--report", str(tmp_path / "r.csv")]) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    one_sample = len(data.MODALITIES) * h * w * 8
+    assert abs(peaks[32] - peaks[4]) < one_sample, peaks
 
 
 def test_gen_data_rejects_bad_size_syntax(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,16 @@ def test_save_pgm_rejects_out_of_range(tmp_path):
         save_pgm(str(tmp_path / "g.pgm"), np.zeros((1, 2, 2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_pgm_rejects_non_finite_values_before_writing(tmp_path, bad):
+    path = str(tmp_path / "f.pgm")
+    img = np.full((1, 1, 2, 2), 0.5)
+    img[0, 0, 1, 0] = bad
+    with pytest.raises(ParameterError, match=f"^{re.escape(path)}: "):
+        save_pgm(path, img)
+    assert not os.path.exists(path)
+
+
 # ---------------------------------------------------------------------------
 # padding
 # ---------------------------------------------------------------------------
@@ -237,6 +248,21 @@ def test_write_and_load_dataset_roundtrip(tmp_path):
     for m in MODALITIES:
         quantized = np.rint(orig.modalities[m] * 255.0) / 255.0
         assert np.allclose(s.modalities[m], quantized, atol=1e-12)
+
+
+def test_load_sample_reads_only_the_named_modalities(tmp_path):
+    root = str(tmp_path / "ds")
+    manifest = write_dataset(root, 1, 16, 16, seed=100)
+    for m in ("m3", "m4"):
+        os.remove(os.path.join(root, "s0000", f"{m}.pgm"))
+    # aliases are canonicalised and each file is read once
+    s = load_sample(manifest, "s0000", ("t2", "m1", "m2", "T1"))
+    assert list(s.modalities) == ["m2", "m1"]
+    full = generate_phantom(100, 16, 16).modalities
+    for m in ("m1", "m2"):
+        assert np.array_equal(s.modalities[m], np.rint(full[m] * 255.0) / 255.0)
+    with pytest.raises(FileNotFoundError):
+        load_sample(manifest, "s0000")
 
 
 def test_load_manifest_rejects_malformed(tmp_path):

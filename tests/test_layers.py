@@ -712,3 +712,33 @@ def test_unpool_and_batchnorm_out_are_bit_equal(dtype):
     assert btape_out.x_hat is x_in
     assert _same_bits(y, y_out) and _same_bits(btape.x_hat, btape_out.x_hat)
     assert _same_bits(rm, rm_out) and _same_bits(rv, rv_out)
+
+
+# ---------------------------------------------------------------------------
+# the kept infer-mode scratch: `keep_scratch=True` gives the fresh path's bits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_c, out_c, k", [(2, 5, 3), (6, 3, 3), (6, 3, 1), (1, 4, 1)],
+                         ids=["stacked", "per-offset", "pointwise", "K=1"])
+def test_conv_kept_scratch_is_bit_equal_to_fresh_buffers(in_c, out_c, k, dtype, monkeypatch):
+    import synnet.layers as layers
+    rng = RngStream(45)
+    x = rng.uniform((5, in_c, 6, 10), -1, 1).astype(dtype)
+    w = rng.uniform((out_c, in_c, k, k), -1, 1).astype(dtype)
+    b = rng.uniform((out_c,), -1, 1).astype(dtype)
+    # a larger conv first grows the buffer, which is then filled with NaN
+    # bits, so a chunk value read before it is written would show
+    conv2d_forward(rng.uniform((4, 8, 12, 12), -1, 1), rng.uniform((16, 8, 3, 3), -1, 1),
+                   keep_scratch=True)
+    layers._thread_scratch.scratch.buf[...] = 0xFF
+    # one chunk of all images, and chunks of 2 with a ragged last one
+    span, wp = 6 * (10 + k - 1) - (k - 1), 10 + k - 1
+    per_image = ((k * k * in_c + out_c) * span if in_c < out_c
+                 else (2 * out_c + in_c) * 6 * wp) * x.itemsize
+    for l2 in (layers._L2_BYTES, 2 * per_image):
+        monkeypatch.setattr(layers, "_L2_BYTES", l2)
+        y, _ = conv2d_forward(x, w, b)
+        y_kept, _ = conv2d_forward(x, w, b, keep_scratch=True)
+        assert _same_bits(y, y_kept)
+        assert not np.shares_memory(y_kept, layers._thread_scratch.scratch.buf)

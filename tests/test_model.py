@@ -397,3 +397,97 @@ def test_paper_scale_training_step_peak_memory():
         finally:
             tracemalloc.stop()
     assert peak <= 4.5 * activation, f"peak {peak / activation:.2f} activations"
+
+
+# ---------------------------------------------------------------------------
+# the per-thread scratch kept by infer-mode block convs
+# ---------------------------------------------------------------------------
+
+def _in_thread(fn):
+    """fn() run in a new thread, whose layers scratch starts unmade."""
+    import threading
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn()))
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive() and len(out) == 1
+    return out[0]
+
+
+def _scratch_buffer():
+    """(address, bytes) of the calling thread's kept scratch, None if unmade."""
+    scratch = getattr(layers._thread_scratch, "scratch", None)
+    if scratch is None:
+        return None
+    return scratch.buf.__array_interface__["data"][0], scratch.buf.nbytes
+
+
+def test_second_infer_forward_reuses_the_threads_scratch():
+    model, params, state = build_model(_tiny("mimo", channels=(8, 16)), RngStream(30))
+    inputs = [RngStream(31 + a).uniform((2, 1, 16, 12), 0, 1) for a in range(2)]
+
+    def twice():
+        model.forward(params, state, inputs, mode="infer")
+        first = _scratch_buffer()
+        model.forward(params, state, inputs, mode="infer")
+        return first, _scratch_buffer()
+
+    first, second = _in_thread(twice)
+    assert first is not None and first[1] > 0
+    assert second == first
+
+
+def test_training_neither_makes_nor_grows_the_scratch():
+    model, params, state = build_model(_tiny("mimo", channels=(8, 16)), RngStream(32))
+    rng = RngStream(33)
+    inputs = [rng.uniform((2, 1, 16, 12), 0, 1) for _ in range(2)]
+
+    def step():
+        preds, trace = model.forward(params, state, inputs, mode="train")
+        model.backward(params, trace, [rng.uniform(p.shape, -1, 1) for p in preds])
+        return _scratch_buffer()
+
+    assert _in_thread(step) is None
+    # in a thread whose scratch is already made, a step leaves it as it was
+    model.forward(params, state, inputs, mode="infer")
+    before = _scratch_buffer()
+    assert step() == before
+
+
+def test_concurrent_infer_forwards_give_the_sequential_bits():
+    # three threads on a two-core host, each with its own inputs and a short
+    # switch interval: a scratch shared between threads would mix their chunks
+    import sys
+    import threading
+    model, params, state = build_model(
+        Topology(kind="siso", depth=2, channels=(8, 16), final_width=8), RngStream(34))
+    threads, calls = 3, 20
+    inputs = [[RngStream(100 * t + i).uniform((2, 1, 16, 16), 0, 1) for i in range(calls)]
+              for t in range(threads)]
+
+    def run(t):
+        return [model.forward(params, state, [x], mode="infer")[0][0] for x in inputs[t]]
+
+    expected = [run(t) for t in range(threads)]
+    results = [None] * threads
+    start = threading.Barrier(threads)
+
+    def worker(t):
+        start.wait(timeout=30)
+        results[t] = run(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for t in range(threads):
+        assert results[t] is not None
+        for got, want in zip(results[t], expected[t]):
+            assert got.tobytes() == want.tobytes()

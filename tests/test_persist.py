@@ -231,6 +231,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, dtype):
         assert np.array_equal(back.tensors[name], cp.tensors[name])
 
 
+@pytest.mark.parametrize("dtype", ["single", "double"])
+def test_loaded_tensors_own_their_data(tmp_path, dtype):
+    # an SGD step after --resume updates these arrays in place, so none may
+    # be a view of the bytes the file was read into
+    path = str(tmp_path / "a.ckpt")
+    save_checkpoint(path, _ckpt(dtype))
+    for name, t in load_checkpoint(path).tensors.items():
+        assert t.base is None and t.flags.owndata and t.flags.writeable, name
+        t += 1
+
+
 def test_checkpoint_save_twice_byte_identical(tmp_path):
     cp = _ckpt("single")
     p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
