@@ -50,11 +50,11 @@ padded grad_out (backward) instead of padding a copy; the producer of that
 input writes straight into the interior.
 `out=` writes a result into the given array; batchnorm's forward writes
 x_hat there.  The model hands over only buffers that nothing reads
-afterwards.  An infer-mode conv (`keep_scratch=True`, set by the model's
-infer blocks) takes its chunk arrays from a buffer that each thread keeps
-between calls, instead of fresh ones; training takes fresh ones.  Either
-way every float op runs in the same order as without the buffer, so
-results are bit-equal.
+afterwards.  A correlation takes its chunk arrays from a buffer that each
+thread keeps between calls (`_scratch`), up to twice _L2_BYTES, so that a
+forward per image does not fault in fresh pages each time.  Either way
+every float op runs in the same order as without the buffer, so results
+are bit-equal.
 """
 
 from __future__ import annotations
@@ -116,44 +116,31 @@ from .tensor import ShapeError, ParameterError, UsageError, check_4d
 _L2_BYTES = 2 << 20     # 2 MiB, one core's private L2 on the benchmark host
 
 
-class _Scratch:
-    """One byte buffer from which an infer-mode conv takes its chunk arrays,
-    kept between calls so that a forward per image does not fault in fresh
-    pages each time.  It grows to the largest request it has served and
-    never shrinks: about 2.2 MB for the paper config at 64x64.  Training
-    does not use it, since a buffer kept beside the tape raised its peak."""
-
-    def __init__(self):
-        self.buf = np.empty(0, dtype=np.uint8)
-
-    def take(self, dtype, *shapes):
-        """Arrays of `shapes` in `dtype`, laid end to end in the buffer, each
-        from a 64-byte boundary; valid until the next call."""
-        dtype = np.dtype(dtype)
-        sizes = [math.prod(s) * dtype.itemsize for s in shapes]
-        starts = [0]
-        for size in sizes:
-            starts.append(starts[-1] + -(-size // 64) * 64)
-        if starts[-1] > self.buf.nbytes:
-            self.buf = np.empty(starts[-1], dtype=np.uint8)
-        return [self.buf[lo:lo + size].view(dtype).reshape(shape)
-                for lo, size, shape in zip(starts, sizes, shapes)]
-
-
 # per thread: two threads that shared one buffer would write into each
 # other's chunks.  Not owned by the model, since `predict` builds one per call
 _thread_scratch = threading.local()
+# A chunk of several images asks for at most _L2_BYTES, a chunk of one image
+# whose rows alone overflow L2 for more, without bound (135 MB for the paper
+# config at 512x512).  Twice L2 keeps its largest at 64x64, 2.2 MB.
+_SCRATCH_BYTES = 2 * _L2_BYTES
 
 
-def _chunk_arrays(dtype, shapes, keep_scratch: bool):
-    """Uninitialised arrays of `shapes`: from the calling thread's kept
-    `_Scratch` if keep_scratch, else new."""
-    if not keep_scratch:
+def _scratch(dtype, shapes):
+    """Uninitialised arrays of `shapes` in `dtype`, valid until the calling
+    thread's next call.  Up to _SCRATCH_BYTES in all they are laid end to
+    end in a byte buffer that the thread keeps between calls, so that a
+    forward per image does not fault in fresh pages each time; the buffer
+    grows to the largest such request and never shrinks, so it stays at or
+    below _SCRATCH_BYTES.  Larger requests get fresh arrays."""
+    sizes = [math.prod(s) * dtype.itemsize for s in shapes]
+    if sum(sizes) > _SCRATCH_BYTES:
         return [np.empty(s, dtype=dtype) for s in shapes]
-    scratch = getattr(_thread_scratch, "scratch", None)
-    if scratch is None:
-        scratch = _thread_scratch.scratch = _Scratch()
-    return scratch.take(dtype, *shapes)
+    buf = getattr(_thread_scratch, "buf", None)
+    if buf is None or buf.nbytes < sum(sizes):
+        buf = _thread_scratch.buf = np.empty(sum(sizes), dtype=np.uint8)
+    starts = np.cumsum([0] + sizes)
+    return [buf[lo:lo + size].view(dtype).reshape(shape)
+            for lo, size, shape in zip(starts, sizes, shapes)]
 
 
 def _image_chunks(n: int, per_image: int):
@@ -232,16 +219,14 @@ def _shifted(flat: np.ndarray, k: int, wp: int, span: int):
     return [flat[:, :, u * wp + v:u * wp + v + span] for u in range(k) for v in range(k)]
 
 
-def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None,
-               keep_scratch: bool = False) -> np.ndarray:
+def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None) -> np.ndarray:
     """Same-padded cross-correlation of a padded flat input (n, in_c, (h+2p)*(wd+2p))
     into `out`, an (n, out_c, h, wd) array of any strides, plus `bias` (broadcast
     per output channel) if given; returns out.
 
     Each chunk of images is correlated into a chunk-sized buffer of wp columns
     per row, then written into out without its junk columns, adding the bias in
-    the same pass.  The chunk buffers come from the thread's kept scratch if
-    `keep_scratch`.
+    the same pass.  The chunk buffers come from the thread's kept `_scratch`.
     """
     n, out_c, h, wd = out.shape
     in_c, k = w.shape[1], w.shape[2]
@@ -266,9 +251,8 @@ def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None,
         kk = k * k
         # stack and output rows of one chunk fit in L2
         chunks = _image_chunks(n, (kk * in_c + out_c) * span * flat.itemsize)
-        stack, rows = _chunk_arrays(flat.dtype, [(chunks[0].stop, in_c, kk, span),
-                                                 (chunks[0].stop, out_c, h * wp)],
-                                    keep_scratch)
+        stack, rows = _scratch(flat.dtype, [(chunks[0].stop, in_c, kk, span),
+                                            (chunks[0].stop, out_c, h * wp)])
         w_rows = w.reshape(out_c, -1)
         for sl in chunks:
             st, r = stack[:sl.stop - sl.start], rows[:sl.stop - sl.start]
@@ -281,9 +265,8 @@ def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None,
         taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, out_c, in_c)
         # accumulator, partial product and input rows of one chunk fit in L2
         chunks = _image_chunks(n, (2 * out_c + in_c) * h * wp * flat.itemsize)
-        rows, part = _chunk_arrays(flat.dtype, [(chunks[0].stop, out_c, h * wp),
-                                                (chunks[0].stop, out_c, span)],
-                                   keep_scratch)
+        rows, part = _scratch(flat.dtype, [(chunks[0].stop, out_c, h * wp),
+                                           (chunks[0].stop, out_c, span)])
         for sl in chunks:
             r = rows[:sl.stop - sl.start]
             head = r[:, :, :span]
@@ -296,17 +279,13 @@ def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None,
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
-                   padded: np.ndarray | None = None, keep_input: bool = True,
-                   keep_scratch: bool = False):
+                   padded: np.ndarray | None = None, keep_input: bool = True):
     """Same-padded cross-correlation plus an optional per-output-channel bias.
 
     `padded` is x's buffer from `zero_padded` (x its interior), kept as the
     tape's `x_flat` instead of a padded copy.  With `keep_input` False the
     tape keeps no input: the caller rebuilds it bit for bit and sets it as
-    the tape's `x_flat` before the backward.  With `keep_scratch` True the
-    chunk buffers come from the calling thread's kept scratch, which grows
-    to the largest chunk served and is never freed; for inference, where
-    the same shapes repeat per image.  The result is bit-equal either way.
+    the tape's `x_flat` before the backward.
     """
     check_4d(x, "x")
     out_c, in_c, k = _check_conv_params(w, b)
@@ -317,7 +296,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     # channel-major memory, (out_c, n, h, w): batchnorm reduces per channel
     y = np.empty((out_c, n, h, wd), dtype=x.dtype).transpose(1, 0, 2, 3)
     bias = None if b is None else b.astype(x.dtype)[None, :, None, None]
-    _correlate(flat, w.astype(x.dtype, copy=False), y, bias, keep_scratch)
+    _correlate(flat, w.astype(x.dtype, copy=False), y, bias)
     return y, ConvTape(flat if keep_input else None, w, x.shape, b is not None)
 
 

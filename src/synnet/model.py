@@ -408,19 +408,14 @@ def _block(params, state, prefix, conv_input, mode, keep_input=True):
     for the conv to pad a copy, and x).  Train mode updates the running
     statistics in `state`; with `keep_input` False the conv tape keeps no
     input, and the buffer is dropped before batchnorm allocates.  Infer mode
-    runs one conv with batchnorm folded in and returns tapes None; that conv
-    takes its chunk arrays from the thread's kept scratch
-    (`keep_scratch=True`), so that eval and predict, one image per forward,
-    do not fault in fresh pages each block.  Training takes fresh ones:
-    a kept buffer there only adds to the peak beside the tape."""
+    runs one conv with batchnorm folded in and returns tapes None."""
     padded, x = conv_input()
     w = params[f"{prefix}.conv.weight"]
     gamma, beta = params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]
     mean, var = f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
     if mode == "infer":
         y, _ = layers.conv2d_forward(
-            x, *layers.batchnorm_fold(w, gamma, beta, state[mean], state[var]), padded=padded,
-            keep_scratch=True)
+            x, *layers.batchnorm_fold(w, gamma, beta, state[mean], state[var]), padded=padded)
         return np.maximum(y, 0, out=y), None
     y, ct = layers.conv2d_forward(x, w, padded=padded, keep_input=keep_input)
     del padded, x

@@ -715,7 +715,7 @@ def test_unpool_and_batchnorm_out_are_bit_equal(dtype):
 
 
 # ---------------------------------------------------------------------------
-# the kept infer-mode scratch: `keep_scratch=True` gives the fresh path's bits
+# the kept per-thread scratch: chunk arrays from it give the fresh arrays' bits
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -729,16 +729,31 @@ def test_conv_kept_scratch_is_bit_equal_to_fresh_buffers(in_c, out_c, k, dtype, 
     b = rng.uniform((out_c,), -1, 1).astype(dtype)
     # a larger conv first grows the buffer, which is then filled with NaN
     # bits, so a chunk value read before it is written would show
-    conv2d_forward(rng.uniform((4, 8, 12, 12), -1, 1), rng.uniform((16, 8, 3, 3), -1, 1),
-                   keep_scratch=True)
-    layers._thread_scratch.scratch.buf[...] = 0xFF
+    conv2d_forward(rng.uniform((4, 8, 12, 12), -1, 1), rng.uniform((16, 8, 3, 3), -1, 1))
+    layers._thread_scratch.buf[...] = 0xFF
     # one chunk of all images, and chunks of 2 with a ragged last one
     span, wp = 6 * (10 + k - 1) - (k - 1), 10 + k - 1
     per_image = ((k * k * in_c + out_c) * span if in_c < out_c
                  else (2 * out_c + in_c) * 6 * wp) * x.itemsize
     for l2 in (layers._L2_BYTES, 2 * per_image):
         monkeypatch.setattr(layers, "_L2_BYTES", l2)
-        y, _ = conv2d_forward(x, w, b)
-        y_kept, _ = conv2d_forward(x, w, b, keep_scratch=True)
+        y_kept, _ = conv2d_forward(x, w, b)
+        assert not np.shares_memory(y_kept, layers._thread_scratch.buf)
+        with monkeypatch.context() as m:
+            m.setattr(layers, "_SCRATCH_BYTES", 0)      # every request fresh
+            y, _ = conv2d_forward(x, w, b)
         assert _same_bits(y, y_kept)
-        assert not np.shares_memory(y_kept, layers._thread_scratch.scratch.buf)
+
+
+def test_scratch_request_over_the_bound_gets_fresh_arrays():
+    import synnet.layers as layers
+    f32 = np.dtype(np.float32)
+    small = layers._scratch(f32, [(3, 4), (5,)])
+    buf = layers._thread_scratch.buf
+    assert all(np.shares_memory(a, buf) for a in small)
+    assert not np.shares_memory(*small)
+    # one float32 more than the bound: fresh arrays, and the kept buffer
+    # neither grows nor is replaced
+    big = layers._scratch(f32, [(layers._SCRATCH_BYTES // 4 - 10,), (11,)])
+    assert not any(np.shares_memory(a, buf) for a in big)
+    assert layers._thread_scratch.buf is buf
