@@ -11,13 +11,14 @@ manifest.txt with one "id<TAB>h<TAB>w" line per sample.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import RngStream, ShapeError, ParameterError
-from .loss import _correlate3x3, sobel_magnitude
+from .loss import _SOBEL_X, _SOBEL_Y, _reflect_pad1
 
 MODALITIES = ("m1", "m2", "m3", "m4")
 MODALITY_ALIASES = {"t1": "m1", "t2": "m2", "t1c": "m3", "flair": "m4",
@@ -49,6 +50,60 @@ class DatasetManifest:
 # phantom generation
 # ---------------------------------------------------------------------------
 
+def _taps(kernel):
+    """The nonzero taps (u, v, weight) of a 3x3 kernel, in row-major order."""
+    return tuple((u, v, kernel[u, v]) for u, v in zip(*np.nonzero(kernel)))
+
+
+_SOBEL_TAPS = (_taps(_SOBEL_X), _taps(_SOBEL_Y))
+_BOX_TAPS = _taps(np.ones((3, 3)))
+
+
+def _correlate_flat(xp, taps):
+    """The 3x3 correlation of `loss._correlate3x3`, for the one image a
+    phantom is, on xp that `loss._reflect_pad1` padded and with the kernel
+    given as its `_taps`; the same bits, on the same NumPy and CPU. The
+    training step's edge map keeps that batch form for what it allocates.
+
+    Returns an array of xp's shape whose [:, :, :h, :w] corner is the
+    result; the last two rows and columns are junk. The taps run over xp
+    flattened, where the window of tap (u, v) is the contiguous run that
+    starts u * (w + 2) + v elements in, so each is one pass over one run.
+    A tap of weight 1 or -1 is added or subtracted without its multiply,
+    which IEEE arithmetic makes exact (1 * x == x, a + (-1 * x) == a - x)."""
+    wp = xp.shape[3]
+    flat = xp.reshape(-1)
+    out = np.zeros(flat.size, dtype=np.float64)
+    span = flat.size - 2 * wp - 2
+    acc, tap = out[:span], np.empty(span)
+    for u, v, k in taps:
+        window = flat[u * wp + v:u * wp + v + span]
+        if k == 1.0:
+            acc += window
+        elif k == -1.0:
+            acc -= window
+        else:
+            acc += np.multiply(k, window, out=tap)
+    return out.reshape(xp.shape)
+
+
+def _shape_terms(rng, low, high, h, w, radius, amp, term):
+    """Draw low..high-1 shapes, five values each in one call, and return
+    their row terms (k, h, 1), column terms (k, w) and amplitudes (k,).
+
+    Per axis a shape has center c = u * size and radius
+    r = (radius[0] + radius[1] * u) * size; term(t - c, r) is taken for the
+    rows and the columns at once, on the coordinates t = 0, 1, ... of the
+    longer side."""
+    k = rng.integers(low, high)
+    u = rng.random(5 * k).reshape(k, 5).T
+    size = np.array([[h], [w]])
+    center = (u[0:2] * size).reshape(-1, 1)
+    r = ((radius[0] + radius[1] * u[2:4]) * size).reshape(-1, 1)
+    terms = term(np.arange(max(h, w), dtype=np.float64) - center, r)
+    return terms[:k, :h, None], terms[k:, :w], amp[0] + amp[1] * u[4]
+
+
 def generate_phantom(seed: int, h: int, w: int, sample_id: str = None) -> PhantomSample:
     """Render one deterministic multi-modality phantom.
 
@@ -56,46 +111,70 @@ def generate_phantom(seed: int, h: int, w: int, sample_id: str = None) -> Phanto
     normalized to [0, 1]. Modalities: m1 = base, m2 = 3x3 box blur of the
     inverted base, m3 = base plus half the normalized edge magnitude
     (clipped), m4 = sqrt(base).
+
+    Each pixel gets the rounded results of the full-grid expressions
+    amp * exp(-((y - cy)^2 / (2 sy^2) + (x - cx)^2 / (2 sx^2))) per blob and
+    amp * (((y - cy) / ry)^2 + ((x - cx) / rx)^2 <= 1) per ellipse, in the
+    same order, so a (seed, h, w) gives the same bits as those expressions
+    on the same NumPy and CPU; only the work is shared. A blob's row and
+    column terms are taken on the h row and w column coordinates, negated
+    there (-a + -b == -(a + b)) and joined by one broadcast add; its exp,
+    scale and accumulate run in place in one h x w work array, so working
+    memory is a few h x w arrays whatever the blob count. An ellipse's
+    terms are joined the same way. All blobs' draws, then all ellipses',
+    come from one call each, which PCG64 makes the same stream as one call
+    per value. The Sobel taps and the box blur share one padded buffer,
+    inverted in place between them (1 - pad(base) is pad(1 - base)).
     """
     if h < 16 or w < 16:
         raise ParameterError(f"phantom size must be >= 16, got {h}x{w}")
     rng = RngStream(seed)
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     base = np.zeros((h, w), dtype=np.float64)
-    for _ in range(rng.integers(5, 13)):
-        cy, cx = rng.random() * h, rng.random() * w
-        sy = (0.05 + 0.15 * rng.random()) * h
-        sx = (0.05 + 0.15 * rng.random()) * w
-        amp = 0.3 + 0.7 * rng.random()
-        base += amp * np.exp(-((yy - cy) ** 2 / (2 * sy * sy)
-                               + (xx - cx) ** 2 / (2 * sx * sx)))
-    for _ in range(rng.integers(1, 4)):
-        cy, cx = rng.random() * h, rng.random() * w
-        ry = (0.08 + 0.20 * rng.random()) * h
-        rx = (0.08 + 0.20 * rng.random()) * w
-        amp = 0.2 + 0.4 * rng.random()
-        mask = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
-        base += amp * mask
-    base = np.clip(base, 0.0, 2.0)
+    work = np.empty((h, w), dtype=np.float64)
+    rows, cols, amps = _shape_terms(rng, 5, 13, h, w, (0.05, 0.15), (0.3, 0.7),
+                                    lambda d, r: -(d ** 2 / (2 * r * r)))
+    for row, col, amp in zip(rows, cols, amps):
+        np.add(row, col, out=work)
+        np.exp(work, out=work)
+        work *= amp
+        base += work
+    rows, cols, amps = _shape_terms(rng, 1, 4, h, w, (0.08, 0.20), (0.2, 0.4),
+                                    lambda d, r: (d / r) ** 2)
+    inside = np.empty((h, w), dtype=bool)
+    for row, col, amp in zip(rows, cols, amps):
+        np.add(row, col, out=work)
+        np.less_equal(work, 1.0, out=inside)
+        np.multiply(inside, amp, out=work)
+        base += work
+    np.minimum(base, 2.0, out=base)           # the clip to [0, 2]: base >= 0
     lo, hi = base.min(), base.max()
     if hi > lo:
-        base = (base - lo) / (hi - lo)
+        base -= lo
+        base /= hi - lo
     else:
-        base = np.zeros_like(base)
+        base[...] = 0.0
 
     b4 = base[None, None]
-    edges = sobel_magnitude(b4)
+    xp = _reflect_pad1(b4)
+    gx, gy = (_correlate_flat(xp, taps) for taps in _SOBEL_TAPS)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    edges = np.sqrt(gx[:, :, :h, :w])
     peak = edges.max()
     if peak > 0:
-        edges = edges / peak
+        edges /= peak
+    edges *= 0.5
+    edges += b4
+    box = _correlate_flat(np.subtract(1.0, xp, out=xp), _BOX_TAPS)
     mods = {
         "m1": b4,
-        "m2": _correlate3x3(1.0 - b4, np.ones((3, 3))) / 9.0,
-        "m3": np.clip(b4 + 0.5 * edges, 0.0, 1.0),
+        "m2": box[:, :, :h, :w] / 9.0,
+        "m3": np.minimum(edges, 1.0, out=edges),   # the clip to [0, 1]: edges >= 0
         "m4": np.sqrt(b4),
     }
     sid = sample_id if sample_id is not None else f"s{seed:06d}"
-    return PhantomSample(sid, {k: v.astype(np.float64) for k, v in mods.items()})
+    return PhantomSample(sid, mods)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +191,10 @@ def bilinear_resize(img2d: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    a = img2d[np.ix_(y0, x0)]
-    b = img2d[np.ix_(y0, x1)]
-    c = img2d[np.ix_(y1, x0)]
-    d = img2d[np.ix_(y1, x1)]
-    return (a * (1 - fy) * (1 - fx) + b * (1 - fy) * fx
-            + c * fy * (1 - fx) + d * fy * fx)
+    gy, gx = 1 - fy, 1 - fx
+    top, bottom = img2d[y0], img2d[y1]
+    return (top[:, x0] * gy * gx + top[:, x1] * gy * fx
+            + bottom[:, x0] * fy * gx + bottom[:, x1] * fy * fx)
 
 
 def _center_fit(img2d: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -186,14 +263,15 @@ class PgmParseError(ValueError):
 
 def save_pgm(path: str, t: np.ndarray):
     """Write a (1, 1, h, w) image of values in [0, 1] as an 8-bit PGM; a
-    non-finite value raises ParameterError naming the path, and nothing is
-    written."""
+    non-finite value, then a value outside [0, 1], raises ParameterError
+    naming the path, and nothing is written."""
     if t.ndim != 4 or t.shape[0] != 1 or t.shape[1] != 1:
         raise ShapeError(f"save_pgm expects a (1,1,h,w) tensor, got {t.shape}")
-    if not np.isfinite(t).all():
+    lo, hi = float(t.min()), float(t.max())     # a NaN or an inf reaches one of them
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"{path}: image has non-finite values")
-    if t.min() < 0 or t.max() > 1:
-        raise ParameterError("save_pgm expects values in [0, 1]")
+    if lo < 0 or hi > 1:
+        raise ParameterError(f"{path}: values outside [0, 1] (min {lo!r}, max {hi!r})")
     h, w = t.shape[2], t.shape[3]
     payload = np.rint(t[0, 0] * 255.0).astype(np.uint8).tobytes()
     with open(path, "wb") as f:

@@ -68,8 +68,12 @@ class RngStream:
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
 
-    def random(self) -> float:
-        return float(self._gen.random())
+    def random(self, n: int = None):
+        """One float in [0, 1), or an array of `n` from one draw: PCG64 gives
+        the same n values as n single calls."""
+        if n is None:
+            return float(self._gen.random())
+        return self._gen.random(n)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

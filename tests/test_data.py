@@ -60,6 +60,87 @@ def test_phantom_rejects_tiny_sizes():
         generate_phantom(0, 8, 32)
 
 
+# The full-grid phantom and np.pad stencil that generate_phantom replaced,
+# kept verbatim as the oracle of its bit-identity contract. NumPy's SIMD exp
+# may round differently on another CPU, so the tests compare against this
+# oracle run here, never against stored digests.
+
+def _oracle_correlate3x3(img4, kernel):
+    xp = np.pad(img4, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+    h, w = img4.shape[2], img4.shape[3]
+    out = np.zeros_like(img4, dtype=np.float64)
+    for u in range(3):
+        for v in range(3):
+            if kernel[u, v]:
+                out += kernel[u, v] * xp[:, :, u:u + h, v:v + w]
+    return out
+
+
+def _oracle_sobel_magnitude(img4):
+    sobel_x = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
+    gx = _oracle_correlate3x3(img4, sobel_x)
+    gy = _oracle_correlate3x3(img4, sobel_x.T)
+    return np.sqrt(gx * gx + gy * gy)
+
+
+def _oracle_phantom(seed, h, w):
+    rng = RngStream(seed)
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    base = np.zeros((h, w), dtype=np.float64)
+    for _ in range(rng.integers(5, 13)):
+        cy, cx = rng.random() * h, rng.random() * w
+        sy = (0.05 + 0.15 * rng.random()) * h
+        sx = (0.05 + 0.15 * rng.random()) * w
+        amp = 0.3 + 0.7 * rng.random()
+        base += amp * np.exp(-((yy - cy) ** 2 / (2 * sy * sy)
+                               + (xx - cx) ** 2 / (2 * sx * sx)))
+    for _ in range(rng.integers(1, 4)):
+        cy, cx = rng.random() * h, rng.random() * w
+        ry = (0.08 + 0.20 * rng.random()) * h
+        rx = (0.08 + 0.20 * rng.random()) * w
+        amp = 0.2 + 0.4 * rng.random()
+        mask = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+        base += amp * mask
+    base = np.clip(base, 0.0, 2.0)
+    lo, hi = base.min(), base.max()
+    if hi > lo:
+        base = (base - lo) / (hi - lo)
+    else:
+        base = np.zeros_like(base)
+
+    b4 = base[None, None]
+    edges = _oracle_sobel_magnitude(b4)
+    peak = edges.max()
+    if peak > 0:
+        edges = edges / peak
+    mods = {
+        "m1": b4,
+        "m2": _oracle_correlate3x3(1.0 - b4, np.ones((3, 3))) / 9.0,
+        "m3": np.clip(b4 + 0.5 * edges, 0.0, 1.0),
+        "m4": np.sqrt(b4),
+    }
+    return {k: v.astype(np.float64) for k, v in mods.items()}
+
+
+@pytest.mark.parametrize("h, w", [(16, 16), (17, 16), (18, 22), (16, 40),
+                                  (32, 32), (64, 64), (128, 96)])
+def test_phantom_matches_full_grid_oracle_bit_for_bit(h, w):
+    for seed in range(200):
+        got = generate_phantom(seed, h, w).modalities
+        want = _oracle_phantom(seed, h, w)
+        assert list(got) == list(want) == list(MODALITIES)
+        for m in MODALITIES:
+            assert got[m].shape == (1, 1, h, w) and got[m].dtype == np.float64
+            assert got[m].tobytes() == want[m].tobytes(), (seed, m)
+
+
+def test_rng_block_draw_is_the_single_draw_stream():
+    one_by_one = RngStream(7)
+    singles = [one_by_one.random() for _ in range(12)]
+    block = RngStream(7)
+    assert block.random(5).tolist() + block.random(7).tolist() == singles
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 # ---------------------------------------------------------------------------
@@ -69,6 +150,37 @@ def test_bilinear_resize_identity_and_constant():
     assert np.allclose(bilinear_resize(img, 8, 8), img)
     const = np.full((6, 6), 0.3)
     assert np.allclose(bilinear_resize(const, 9, 9), 0.3)
+
+
+def _bilinear_resize_ix(img2d, out_h, out_w):
+    # the np.ix_ gather that bilinear_resize replaced, as its oracle
+    h, w = img2d.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    a = img2d[np.ix_(y0, x0)]
+    b = img2d[np.ix_(y0, x1)]
+    c = img2d[np.ix_(y1, x0)]
+    d = img2d[np.ix_(y1, x1)]
+    return (a * (1 - fy) * (1 - fx) + b * (1 - fy) * fx
+            + c * fy * (1 - fx) + d * fy * fx)
+
+
+@pytest.mark.parametrize("h, w", [(32, 32), (16, 24), (17, 9)])
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+@pytest.mark.parametrize("dtype", ["single", "double"])
+def test_bilinear_resize_matches_index_gather_bit_for_bit(h, w, scale, dtype):
+    img = RngStream(h * w).uniform((h, w), 0, 1, dtype=dtype)
+    out_h, out_w = round(h * scale), round(w * scale)
+    got = bilinear_resize(img, out_h, out_w)
+    want = _bilinear_resize_ix(img, out_h, out_w)
+    assert got.shape == (out_h, out_w) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_apply_transform_hflip():
@@ -194,8 +306,15 @@ def test_pgm_non_positive_size_reports_offset(tmp_path, header, field):
 
 
 def test_save_pgm_rejects_out_of_range(tmp_path):
-    with pytest.raises(ParameterError):
-        save_pgm(str(tmp_path / "f.pgm"), np.full((1, 1, 2, 2), 1.5))
+    path = str(tmp_path / "f.pgm")
+    for lo, hi in [(0.25, 1.5), (-0.5, 0.75)]:
+        img = np.full((1, 1, 2, 2), 0.5)
+        img[0, 0, 0, 0], img[0, 0, 1, 1] = lo, hi
+        with pytest.raises(ParameterError,
+                           match="^" + re.escape(f"{path}: values outside [0, 1] "
+                                                 f"(min {lo!r}, max {hi!r})") + "$"):
+            save_pgm(path, img)
+        assert not os.path.exists(path)
     with pytest.raises(ShapeError):
         save_pgm(str(tmp_path / "g.pgm"), np.zeros((1, 2, 2, 2)))
 

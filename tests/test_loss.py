@@ -102,6 +102,63 @@ def test_sobel_magnitude_zero_inside_flat_region():
     assert np.allclose(sobel_magnitude(img), 0.0)
 
 
+# The np.pad stencil, Sobel magnitude and edge weight map that the sliced
+# reflect border and in-place taps replaced, kept verbatim as the oracle of
+# their bit-identity contract (compared here, never against stored digests).
+
+def _oracle_correlate3x3(img4, kernel):
+    xp = np.pad(img4, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+    h, w = img4.shape[2], img4.shape[3]
+    out = np.zeros_like(img4, dtype=np.float64)
+    for u in range(3):
+        for v in range(3):
+            if kernel[u, v]:
+                out += kernel[u, v] * xp[:, :, u:u + h, v:v + w]
+    return out
+
+
+def _oracle_sobel_magnitude(img4):
+    sobel_x = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
+    gx = _oracle_correlate3x3(img4, sobel_x)
+    gy = _oracle_correlate3x3(img4, sobel_x.T)
+    return np.sqrt(gx * gx + gy * gy)
+
+
+def _oracle_edge_weight_map(target, beta=4.0):
+    intensity = target.mean(axis=1, keepdims=True).astype(np.float64)
+    e = _oracle_sobel_magnitude(intensity)
+    peak = e.max(axis=(1, 2, 3), keepdims=True)
+    flat = peak <= 1e-12
+    e = np.where(flat, 0.0, e / np.where(flat, 1.0, peak))
+    return 1.0 + beta * e
+
+
+def _stencil_batches(dtype):
+    rng = RngStream(11)
+    vstep, hstep = np.zeros((2, 1, 1, 9, 12))
+    vstep[:, :, :, 5:] = 1.0
+    hstep[:, :, 4:, :] = 1.0
+    yield rng.uniform((4, 1, 16, 16), 0, 1, dtype=dtype)
+    yield rng.uniform((2, 3, 17, 9), -1, 1, dtype=dtype)
+    yield rng.uniform((3, 1, 2, 5), 0, 1, dtype=dtype)
+    yield np.full((2, 1, 7, 7), 0.3).astype(dtype)
+    yield np.concatenate([vstep, 0.25 * vstep, hstep, np.zeros_like(vstep)]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", ["single", "double"])
+def test_sobel_and_edge_weight_map_match_pad_oracle_bit_for_bit(dtype):
+    for img in _stencil_batches(dtype):
+        got = sobel_magnitude(img)
+        want = _oracle_sobel_magnitude(img)
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        for beta in (4.0, 0.5):
+            got = edge_weight_map(img, beta=beta)
+            want = _oracle_edge_weight_map(img, beta=beta)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # two-factor SSIM
 # ---------------------------------------------------------------------------

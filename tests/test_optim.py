@@ -172,7 +172,9 @@ def test_train_divergence_guard():
     for name in params:                             # blow up the starting point
         params[name] = params[name] + 1e100
     cfg = TrainConfig(batch_size=6, epochs=5, seed=3, loss="l2")
-    with pytest.raises((TrainingDivergedError, ParameterError)):
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(TrainingDivergedError,
+                          match=r"^non-finite loss at iteration 1 \(epoch 0\)$"):
         train(model, params, state, _toy_dataset(), cfg)
 
 
