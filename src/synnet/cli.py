@@ -10,21 +10,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 
 import numpy as np
 
 from . import data, metrics, optim, persist, verify
 from .model import SynNetModel
-from .tensor import DTYPES, ParameterError, RngStream
+from .tensor import DTYPES, ParameterError, RngStream, write_file
 
 HISTORY_COLUMNS = ("iter", "epoch", "l2", "ssim", "tv", "wd", "total")
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return "inf" if v == float("inf") else f"{v:.17g}"
-    return str(v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _parse_size(text: str):
@@ -71,17 +70,20 @@ def _scores(model, params, state, sample_ids, pairs):
             yield sid, head, metrics.psnr(pred, targ), metrics.ssim_standard(pred, targ)
 
 
-def _write_history(path, history):
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(HISTORY_COLUMNS)
-        for row in history:
-            wr.writerow([_fmt(row[c]) for c in HISTORY_COLUMNS])
+def _write_csv(path, header, rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    write_file(path, buf.getvalue().encode())
 
 
 def cmd_gen_data(args) -> int:
     h, w = _parse_size(args.size)
-    manifest = data.write_dataset(args.out, args.count, h, w, args.seed)
+    if args.count < 1:
+        raise ParameterError(f"--count: must be >= 1, got {args.count}")
+    try:
+        manifest = data.write_dataset(args.out, args.count, h, w, args.seed)
+    except ParameterError as exc:   # the phantom's minimum size
+        raise ParameterError(f"--size: {exc}") from None
     print(f"wrote {len(manifest.sample_ids)} samples ({h}x{w}) to {args.out}")
     return 0
 
@@ -113,7 +115,8 @@ def cmd_train(args) -> int:
                                persist.format_config(cfg))
     persist.save_checkpoint(args.out, cp)
     if args.history:
-        _write_history(args.history, history)
+        _write_csv(args.history, HISTORY_COLUMNS,
+                   ([_fmt(row[c]) for c in HISTORY_COLUMNS] for row in history))
 
     # final train-set quality, infer mode
     _, _, psnrs, ssims = zip(*_scores(model, params, state, train_ids, dataset))
@@ -155,12 +158,9 @@ def cmd_eval(args) -> int:
     rows = list(_scores(model, params, state, ids, _pairs(manifest, ids, cfg)))
     mean_psnr = float(np.mean([r[2] for r in rows]))
     mean_ssim = float(np.mean([r[3] for r in rows]))
-    with open(args.report, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(("sample_id", "head", "psnr_db", "ssim"))
-        for sid, head, p, s in rows:
-            wr.writerow((sid, head, _fmt(p), _fmt(s)))
-        wr.writerow(("mean", "all", _fmt(mean_psnr), _fmt(mean_ssim)))
+    _write_csv(args.report, ("sample_id", "head", "psnr_db", "ssim"),
+               [*((sid, head, _fmt(p), _fmt(s)) for sid, head, p, s in rows),
+                ("mean", "all", _fmt(mean_psnr), _fmt(mean_ssim))])
     print(f"evaluated {len(rows)} prediction(s): "
           f"mean PSNR={_fmt(mean_psnr)} dB SSIM={_fmt(mean_ssim)}")
     return 0

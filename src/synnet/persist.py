@@ -14,8 +14,8 @@ settings (dtype, optimizer) and is never read for the model's shape.
 Version 1 files, which kept part of the topology only in the echo and
 stored a bias for every block conv, are rejected.
 
-Checkpoints are saved atomically: written to a temporary file in the
-target's directory, then renamed over the target.
+Checkpoints, like every file synnet writes, are saved by `tensor.write_file`:
+written to a temporary file beside the target, then renamed over it.
 
 Config files are `key = value` lines; `#` comments and blank lines are
 allowed; unknown keys are rejected. A setting that mirrors a field of a
@@ -31,7 +31,6 @@ reports it as 0.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
 
@@ -41,7 +40,7 @@ from .data import canonical_modality
 from .loss import LossWeights, SsimConfig
 from .model import TOPOLOGY_KINDS, SynNetModel, Topology
 from .optim import OptimState, TrainConfig
-from .tensor import DTYPES, ParameterError
+from .tensor import DTYPES, ParameterError, write_file
 
 _MAGIC = b"SYNNETCK"
 _VERSION = 2
@@ -234,12 +233,9 @@ class Checkpoint:
 
 def save_checkpoint(path: str, cp: Checkpoint):
     t = cp.topology
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<I", _VERSION)
-    out += struct.pack("<B", TOPOLOGY_KINDS.index(t.kind))
-    out += struct.pack("<I", t.depth)
-    out += struct.pack("<I", len(t.channels))
+    out = bytearray(_MAGIC)
+    out += struct.pack("<IBII", _VERSION, TOPOLOGY_KINDS.index(t.kind), t.depth,
+                       len(t.channels))
     out += struct.pack(f"<{len(t.channels)}I", *t.channels)
     out += struct.pack("<3I", t.in_channels, t.out_channels, t.final_width)
     out += struct.pack("<2B", t.miso_index_arm, t.mimo_arm_matched_skips)
@@ -249,23 +245,12 @@ def save_checkpoint(path: str, cp: Checkpoint):
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
         nb = name.encode()
         out += struct.pack("<I", len(nb)) + nb
-        out += struct.pack("<B", _DTYPE_TAGS[arr.dtype])
-        out += struct.pack("<I", arr.ndim)
+        out += struct.pack("<BI", _DTYPE_TAGS[arr.dtype], arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
     cb = cp.config_text.encode()
     out += struct.pack("<I", len(cb)) + cb
-    # write beside the target, then rename over it: a failed write leaves
-    # any earlier checkpoint whole
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(out)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    write_file(path, out)
 
 
 class _Reader:
@@ -359,13 +344,10 @@ def _parse_checkpoint(r: _Reader) -> Checkpoint:
 
 def pack_training(topology: Topology, params, state, opt_state: OptimState,
                   config_text: str) -> Checkpoint:
-    tensors = {}
-    for name, arr in params.items():
-        tensors[f"param.{name}"] = arr
-    for name, arr in state.items():
-        tensors[f"state.{name}"] = arr
-    for name, arr in opt_state.velocity.items():
-        tensors[f"velocity.{name}"] = arr
+    tensors = {f"{group}.{name}": arr
+               for group, arrays in (("param", params), ("state", state),
+                                     ("velocity", opt_state.velocity))
+               for name, arr in arrays.items()}
     tensors["optim.iteration"] = np.array([opt_state.iteration], dtype=np.float64)
     tensors["optim.epoch"] = np.array([opt_state.epoch], dtype=np.float64)
     return Checkpoint(topology, tensors, config_text)
@@ -408,16 +390,14 @@ def unpack_training(cp: Checkpoint, lr: float, momentum: float):
     """(params, state, opt_state) from a packed checkpoint, checked against
     the tensors its topology needs."""
     counters = ("optim.iteration", "optim.epoch")
-    params, state, velocity = {}, {}, {}
+    groups = {"param": {}, "state": {}, "velocity": {}}
     for name, arr in cp.tensors.items():
-        if name.startswith("param."):
-            params[name[len("param."):]] = arr
-        elif name.startswith("state."):
-            state[name[len("state."):]] = arr
-        elif name.startswith("velocity."):
-            velocity[name[len("velocity."):]] = arr
+        group, _, key = name.partition(".")
+        if group in groups and key:
+            groups[group][key] = arr
         elif name not in counters:
             raise CheckpointError(f"unexpected tensor {name}")
+    params, state, velocity = groups.values()
     model = SynNetModel(cp.topology)
     param_shapes = model.param_shapes()
     _check_tensors("param", params, param_shapes)

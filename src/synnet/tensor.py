@@ -1,4 +1,4 @@
-"""Dense NCHW tensor conventions: dtype tags, checks, seeded randomness.
+"""Dense NCHW tensors and their checks, seeded randomness, the one file writer.
 
 All tensors are plain ``numpy.ndarray`` objects with exactly four axes in
 (batch, channel, height, width) order, row-major. No broadcasting is allowed
@@ -9,6 +9,7 @@ elementwise operation requires identical shapes so shape bugs fail loudly.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -78,3 +79,18 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
+
+def write_file(path: str, data: bytes, atomic: bool = True):
+    """Write `data` to `path` by a temporary file beside it and `os.replace`,
+    so a failed write leaves any earlier file whole and no temporary file;
+    with `atomic` false, to `path` itself (`data.write_dataset`'s images)."""
+    tmp = f"{path}.{os.getpid()}.tmp" if atomic else path
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        if atomic:
+            os.replace(tmp, path)
+    except BaseException:
+        if atomic and os.path.exists(tmp):
+            os.remove(tmp)
+        raise

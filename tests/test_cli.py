@@ -1,4 +1,6 @@
 import csv
+import errno
+import io
 import os
 import re
 import subprocess
@@ -7,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from synnet import data, verify
-from synnet.cli import main
+from synnet import cli, data, optim, tensor, verify
+from synnet.cli import HISTORY_COLUMNS, main
 from synnet.data import load_pgm, save_pgm, generate_phantom
 from synnet.metrics import psnr, ssim_standard
 from synnet.model import SynNetModel
@@ -273,6 +275,175 @@ def test_gen_data_rejects_bad_size_syntax(tmp_path, capsys):
         "error: ParameterError: --size: bad size syntax '64', expected HxW\n"
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_data_rejects_a_count_below_one_before_writing(tmp_path, capsys, count):
+    out = tmp_path / "d"
+    assert main(["gen-data", "--out", str(out), "--count", count, "--size", "16x16"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: ParameterError: --count: must be >= 1, got {count}\n"
+    assert not out.exists()
+
+
+def test_gen_data_names_the_size_flag_of_a_phantom_below_16(tmp_path, capsys):
+    rc = main(["gen-data", "--out", str(tmp_path / "d"), "--count", "1", "--size", "15x16"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: ParameterError: --size: phantom size must be >= 16, got 15x16\n"
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_image_whose_size_is_not_the_manifests_fails_by_its_path(tmp_path, capsys,
+                                                                    command):
+    root = _gen(tmp_path, count=3)
+    ckpt, _ = _train(tmp_path, root)
+    bad = os.path.join(root, "s0001", "m2.pgm")       # in the train split
+    save_pgm(bad, np.zeros((1, 1, 16, 20)))
+    capsys.readouterr()
+    argv = {"train": ["train", "--config", str(tmp_path / "run.cfg"), "--data", root,
+                      "--out", str(tmp_path / "again.ckpt")],
+            "eval": ["eval", "--ckpt", ckpt, "--data", root,
+                     "--report", str(tmp_path / "r.csv")]}[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: ParameterError: {bad}: image is 16x20, manifest says 16x16\n"
+
+
+def _fail_writes_to(monkeypatch, target):
+    """Make every file `tensor.write_file` opens for `target` (the target
+    itself or a temporary file beside it) stop halfway with ENOSPC."""
+    class FullDisk(io.FileIO):
+        def write(self, b):
+            super().write(bytes(b)[:len(b) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        if path == target or path.startswith(f"{target}."):
+            return FullDisk(path, "w")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(tensor, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("output", ["checkpoint", "pgm", "manifest", "history", "report"])
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, capsys, output):
+    root = _gen(tmp_path)
+    ckpt, hist = _train(tmp_path, root)
+    other, _ = _train(tmp_path, root, tag="other", extra_cfg="seed = 8\n")
+    report, pred = str(tmp_path / "report.csv"), str(tmp_path / "pred.pgm")
+    m1 = os.path.join(root, "s0000", "m1.pgm")
+    assert main(["eval", "--ckpt", ckpt, "--data", root, "--report", report]) == 0
+    assert main(["predict", "--ckpt", ckpt, "--input", m1, "--output", pred]) == 0
+    # each output, and a command that would write other bytes to it
+    path, argv = {
+        "checkpoint": (ckpt, ["train", "--config", str(tmp_path / "other.cfg"),
+                              "--data", root, "--out", ckpt]),
+        "pgm": (pred, ["predict", "--ckpt", other, "--input", m1, "--output", pred]),
+        "manifest": (os.path.join(root, "manifest.txt"),
+                     ["gen-data", "--out", root, "--count", "3", "--size", "16x16"]),
+        "history": (hist, ["train", "--config", str(tmp_path / "other.cfg"), "--data", root,
+                           "--out", str(tmp_path / "third.ckpt"), "--history", hist]),
+        "report": (report, ["eval", "--ckpt", other, "--data", root, "--report", report]),
+    }[output]
+    before = open(path, "rb").read()
+    capsys.readouterr()
+    _fail_writes_to(monkeypatch, path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        "error: OSError: [Errno 28] No space left on device\n"
+    assert open(path, "rb").read() == before
+    assert list(tmp_path.rglob("*.tmp")) == []
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert open(path, "rb").read() != before
+
+
+# frozen copies of the in-place writers that `tensor.write_file` replaced: it
+# must give their bytes
+
+def _in_place_fmt(v):
+    if isinstance(v, float):
+        return "inf" if v == float("inf") else f"{v:.17g}"
+    return str(v)
+
+
+def _in_place_save_pgm(path, t):
+    h, w = t.shape[2], t.shape[3]
+    payload = np.rint(t[0, 0] * 255.0).astype(np.uint8).tobytes()
+    with open(path, "wb") as f:
+        f.write(f"P5\n{w} {h}\n255\n".encode())
+        f.write(payload)
+
+
+def _in_place_manifest(root, ids, h, w):
+    with open(os.path.join(root, "manifest.txt"), "w") as f:
+        for sid in ids:
+            f.write(f"{sid}\t{h}\t{w}\n")
+
+
+def _in_place_history(path, history):
+    with open(path, "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(HISTORY_COLUMNS)
+        for row in history:
+            wr.writerow([_in_place_fmt(row[c]) for c in HISTORY_COLUMNS])
+
+
+def _in_place_report(path, rows):
+    mean_psnr = float(np.mean([r[2] for r in rows]))
+    mean_ssim = float(np.mean([r[3] for r in rows]))
+    with open(path, "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(("sample_id", "head", "psnr_db", "ssim"))
+        for sid, head, p, s in rows:
+            wr.writerow((sid, head, _in_place_fmt(p), _in_place_fmt(s)))
+        wr.writerow(("mean", "all", _in_place_fmt(mean_psnr), _in_place_fmt(mean_ssim)))
+
+
+def test_every_writer_gives_the_bytes_of_the_in_place_writers(tmp_path, monkeypatch):
+    root = _gen(tmp_path, count=3, size="16x20", seed=4)
+    ref = tmp_path / "ref"
+    for i, sid in enumerate(("s0000", "s0001", "s0002")):
+        sample = generate_phantom(4 + i, 16, 20, sample_id=sid)
+        for mod in data.MODALITIES:
+            _in_place_save_pgm(str(ref), sample.modalities[mod])
+            assert open(os.path.join(root, sid, f"{mod}.pgm"), "rb").read() == \
+                ref.read_bytes()
+    edges = np.array([0.0, 1.0, 0.5, 1 / 510, 0.3, np.nextafter(1.0, 0.0)])
+    img = np.resize(edges, (1, 1, 3, 7))
+    save_pgm(str(tmp_path / "edges.pgm"), img)
+    _in_place_save_pgm(str(ref), img)
+    assert (tmp_path / "edges.pgm").read_bytes() == ref.read_bytes()
+    os.makedirs(ref.with_suffix(".d"))
+    _in_place_manifest(str(ref.with_suffix(".d")), ["s0000", "s0001", "s0002"], 16, 20)
+    assert open(os.path.join(root, "manifest.txt"), "rb").read() == \
+        (ref.with_suffix(".d") / "manifest.txt").read_bytes()
+
+    for v in (float("inf"), float("-inf"), float("nan"), 0.1, 1e-300, -0.0, 3):
+        assert cli._fmt(v) == _in_place_fmt(v)
+    seen = {}
+    train, scores = optim.train, cli._scores
+
+    def spy_train(*args, **kwargs):
+        result = train(*args, **kwargs)
+        seen["history"] = result[2]
+        return result
+
+    def spy_scores(*args):
+        seen["rows"] = list(scores(*args))
+        return iter(seen["rows"])
+
+    monkeypatch.setattr(optim, "train", spy_train)
+    monkeypatch.setattr(cli, "_scores", spy_scores)
+    ckpt, hist = _train(tmp_path, root)
+    _in_place_history(str(ref), seen["history"])
+    assert open(hist, "rb").read() == ref.read_bytes()
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--ckpt", ckpt, "--data", root, "--report", str(report)]) == 0
+    _in_place_report(str(ref), seen["rows"])
+    assert report.read_bytes() == ref.read_bytes()
+
+
 def test_eval_report_layout_and_means(tmp_path):
     root = _gen(tmp_path)
     ckpt, _ = _train(tmp_path, root)
@@ -344,9 +515,9 @@ def test_errors_reported_with_nonzero_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_console_entry_point():
+def test_console_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "synnet.cli", "gen-data",
-                           "--out", "/tmp/_synnet_cli_smoke", "--count", "1",
+                           "--out", str(tmp_path / "smoke"), "--count", "1",
                            "--size", "16x16", "--seed", "1"],
                           capture_output=True, text=True)
     assert proc.returncode == 0

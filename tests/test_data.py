@@ -369,6 +369,21 @@ def test_write_and_load_dataset_roundtrip(tmp_path):
         assert np.allclose(s.modalities[m], quantized, atol=1e-12)
 
 
+def test_rewriting_a_dataset_keeps_its_images_and_renames_its_manifest(tmp_path):
+    # the images are written in place (a temporary file per image is a new
+    # inode); the manifest, by a temporary file renamed over the old one
+    root = str(tmp_path / "ds")
+    write_dataset(root, 2, 16, 16, seed=100)
+    files = [os.path.join(root, sid, f"{m}.pgm") for sid in ("s0000", "s0001")
+             for m in MODALITIES]
+    inodes = [os.stat(p).st_ino for p in files]
+    manifest_inode = os.stat(os.path.join(root, "manifest.txt")).st_ino
+    write_dataset(root, 2, 16, 16, seed=200)
+    assert [os.stat(p).st_ino for p in files] == inodes
+    assert os.stat(os.path.join(root, "manifest.txt")).st_ino != manifest_inode
+    assert sorted(os.listdir(root)) == ["manifest.txt", "s0000", "s0001"]
+
+
 def test_load_sample_reads_only_the_named_modalities(tmp_path):
     root = str(tmp_path / "ds")
     manifest = write_dataset(root, 1, 16, 16, seed=100)

