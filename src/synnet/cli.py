@@ -23,7 +23,9 @@ HISTORY_COLUMNS = ("iter", "epoch", "l2", "ssim", "tv", "wd", "total")
 
 
 def _fmt(v) -> str:
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
+    if isinstance(v, float):
+        return "inf" if v == float("inf") else f"{v:.17g}"
+    return str(v)
 
 
 def _parse_size(text: str):
@@ -80,10 +82,10 @@ def cmd_gen_data(args) -> int:
     h, w = _parse_size(args.size)
     if args.count < 1:
         raise ParameterError(f"--count: must be >= 1, got {args.count}")
-    try:
-        manifest = data.write_dataset(args.out, args.count, h, w, args.seed)
-    except ParameterError as exc:   # the phantom's minimum size
-        raise ParameterError(f"--size: {exc}") from None
+    if min(h, w) < data.PHANTOM_MIN_SIZE:
+        raise ParameterError(f"--size: phantom size must be >= {data.PHANTOM_MIN_SIZE}, "
+                             f"got {h}x{w}")
+    manifest = data.write_dataset(args.out, args.count, h, w, args.seed)
     print(f"wrote {len(manifest.sample_ids)} samples ({h}x{w}) to {args.out}")
     return 0
 

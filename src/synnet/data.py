@@ -6,10 +6,9 @@ for registered multi-contrast MR slices. Everything is seeded; the same
 (seed, h, w) always produces bit-identical samples.
 
 Dataset directory layout: <root>/<sample_id>/<modality>.pgm plus a
-manifest.txt with one "id<TAB>h<TAB>w" line per sample. Every file goes
-through `tensor.write_file`, by a temporary file and a rename, but a
-dataset's images are written in place: each temporary file is a new inode,
-which on ext4 made rewriting 512 images 2.6 times as slow.
+manifest.txt with one "id<TAB>h<TAB>w" line per sample. Every file is
+written through `tensor.write_file`: to a temporary file, then renamed over
+the target.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .tensor import RngStream, ShapeError, ParameterError, write_file
 from .loss import _SOBEL_X, _SOBEL_Y
 
 MODALITIES = ("m1", "m2", "m3", "m4")
+PHANTOM_MIN_SIZE = 16
 MODALITY_ALIASES = {"t1": "m1", "t2": "m2", "t1c": "m3", "flair": "m4",
                     "m1": "m1", "m2": "m2", "m3": "m3", "m4": "m4"}
 
@@ -131,8 +131,8 @@ def generate_phantom(seed: int, h: int, w: int, sample_id: str = None) -> Phanto
     per value. The Sobel pair and the box blur run through one padded
     buffer, inverted in place between them (1 - pad(base) is pad(1 - base)).
     """
-    if h < 16 or w < 16:
-        raise ParameterError(f"phantom size must be >= 16, got {h}x{w}")
+    if min(h, w) < PHANTOM_MIN_SIZE:
+        raise ParameterError(f"phantom size must be >= {PHANTOM_MIN_SIZE}, got {h}x{w}")
     rng = RngStream(seed)
     base = np.zeros((h, w), dtype=np.float64)
     work = np.empty((h, w), dtype=np.float64)
@@ -269,10 +269,10 @@ class PgmParseError(ValueError):
     byte offset."""
 
 
-def save_pgm(path: str, t: np.ndarray, atomic: bool = True):
-    """Write a (1, 1, h, w) image of values in [0, 1] as an 8-bit PGM by
-    `write_file(path, ..., atomic)`; a non-finite value, then a value outside
-    [0, 1], raises ParameterError naming the path, and nothing is written."""
+def save_pgm(path: str, t: np.ndarray):
+    """Write a (1, 1, h, w) image of values in [0, 1] as an 8-bit PGM; a
+    non-finite value, then a value outside [0, 1], raises ParameterError
+    naming the path, and nothing is written."""
     if t.ndim != 4 or t.shape[0] != 1 or t.shape[1] != 1:
         raise ShapeError(f"save_pgm expects a (1,1,h,w) tensor, got {t.shape}")
     lo, hi = float(t.min()), float(t.max())     # a NaN or an inf reaches one of them
@@ -281,7 +281,7 @@ def save_pgm(path: str, t: np.ndarray, atomic: bool = True):
     if lo < 0 or hi > 1:
         raise ParameterError(f"{path}: values outside [0, 1] (min {lo!r}, max {hi!r})")
     write_file(path, f"P5\n{t.shape[3]} {t.shape[2]}\n255\n".encode()
-               + np.rint(t[0, 0] * 255.0).astype(np.uint8).tobytes(), atomic)
+               + np.rint(t[0, 0] * 255.0).astype(np.uint8).tobytes())
 
 
 def load_pgm(path: str) -> np.ndarray:
@@ -364,6 +364,7 @@ def crop_back(t: np.ndarray, rec: CropRecord) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_dataset(root: str, count: int, h: int, w: int, seed: int) -> DatasetManifest:
+    os.makedirs(root, exist_ok=True)
     ids = []
     for i in range(count):
         sid = f"s{i:04d}"
@@ -371,9 +372,8 @@ def write_dataset(root: str, count: int, h: int, w: int, seed: int) -> DatasetMa
         sdir = os.path.join(root, sid)
         os.makedirs(sdir, exist_ok=True)
         for mod in MODALITIES:
-            save_pgm(os.path.join(sdir, f"{mod}.pgm"), sample.modalities[mod], atomic=False)
+            save_pgm(os.path.join(sdir, f"{mod}.pgm"), sample.modalities[mod])
         ids.append(sid)
-    os.makedirs(root, exist_ok=True)    # not first: a bad size leaves no directory
     write_file(os.path.join(root, "manifest.txt"),
                "".join(f"{sid}\t{h}\t{w}\n" for sid in ids).encode())
     return DatasetManifest(root, ids, h, w)

@@ -233,9 +233,12 @@ class Checkpoint:
 
 def save_checkpoint(path: str, cp: Checkpoint):
     t = cp.topology
-    out = bytearray(_MAGIC)
-    out += struct.pack("<IBII", _VERSION, TOPOLOGY_KINDS.index(t.kind), t.depth,
-                       len(t.channels))
+    out = bytearray()
+    out += _MAGIC
+    out += struct.pack("<I", _VERSION)
+    out += struct.pack("<B", TOPOLOGY_KINDS.index(t.kind))
+    out += struct.pack("<I", t.depth)
+    out += struct.pack("<I", len(t.channels))
     out += struct.pack(f"<{len(t.channels)}I", *t.channels)
     out += struct.pack("<3I", t.in_channels, t.out_channels, t.final_width)
     out += struct.pack("<2B", t.miso_index_arm, t.mimo_arm_matched_skips)
@@ -245,7 +248,8 @@ def save_checkpoint(path: str, cp: Checkpoint):
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
         nb = name.encode()
         out += struct.pack("<I", len(nb)) + nb
-        out += struct.pack("<BI", _DTYPE_TAGS[arr.dtype], arr.ndim)
+        out += struct.pack("<B", _DTYPE_TAGS[arr.dtype])
+        out += struct.pack("<I", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
     cb = cp.config_text.encode()
@@ -344,10 +348,13 @@ def _parse_checkpoint(r: _Reader) -> Checkpoint:
 
 def pack_training(topology: Topology, params, state, opt_state: OptimState,
                   config_text: str) -> Checkpoint:
-    tensors = {f"{group}.{name}": arr
-               for group, arrays in (("param", params), ("state", state),
-                                     ("velocity", opt_state.velocity))
-               for name, arr in arrays.items()}
+    tensors = {}
+    for name, arr in params.items():
+        tensors[f"param.{name}"] = arr
+    for name, arr in state.items():
+        tensors[f"state.{name}"] = arr
+    for name, arr in opt_state.velocity.items():
+        tensors[f"velocity.{name}"] = arr
     tensors["optim.iteration"] = np.array([opt_state.iteration], dtype=np.float64)
     tensors["optim.epoch"] = np.array([opt_state.epoch], dtype=np.float64)
     return Checkpoint(topology, tensors, config_text)
@@ -390,14 +397,16 @@ def unpack_training(cp: Checkpoint, lr: float, momentum: float):
     """(params, state, opt_state) from a packed checkpoint, checked against
     the tensors its topology needs."""
     counters = ("optim.iteration", "optim.epoch")
-    groups = {"param": {}, "state": {}, "velocity": {}}
+    params, state, velocity = {}, {}, {}
     for name, arr in cp.tensors.items():
-        group, _, key = name.partition(".")
-        if group in groups and key:
-            groups[group][key] = arr
+        if name.startswith("param."):
+            params[name[len("param."):]] = arr
+        elif name.startswith("state."):
+            state[name[len("state."):]] = arr
+        elif name.startswith("velocity."):
+            velocity[name[len("velocity."):]] = arr
         elif name not in counters:
             raise CheckpointError(f"unexpected tensor {name}")
-    params, state, velocity = groups.values()
     model = SynNetModel(cp.topology)
     param_shapes = model.param_shapes()
     _check_tensors("param", params, param_shapes)

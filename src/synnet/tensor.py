@@ -1,9 +1,12 @@
-"""Dense NCHW tensors and their checks, seeded randomness, the one file writer.
+"""Dense NCHW tensor conventions: dtype tags, checks, seeded randomness.
 
 All tensors are plain ``numpy.ndarray`` objects with exactly four axes in
 (batch, channel, height, width) order, row-major. No broadcasting is allowed
 between tensors of different shapes anywhere in this package; every
 elementwise operation requires identical shapes so shape bugs fail loudly.
+
+Every file synnet writes goes through `write_file`: to a temporary file
+beside the target, then renamed over it.
 """
 
 from __future__ import annotations
@@ -80,17 +83,15 @@ class RngStream:
         return self._gen.permutation(n)
 
 
-def write_file(path: str, data: bytes, atomic: bool = True):
+def write_file(path: str, data: bytes):
     """Write `data` to `path` by a temporary file beside it and `os.replace`,
-    so a failed write leaves any earlier file whole and no temporary file;
-    with `atomic` false, to `path` itself (`data.write_dataset`'s images)."""
-    tmp = f"{path}.{os.getpid()}.tmp" if atomic else path
+    so a failed write leaves any earlier file whole and no temporary file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(data)
-        if atomic:
-            os.replace(tmp, path)
+        os.replace(tmp, path)
     except BaseException:
-        if atomic and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.remove(tmp)
         raise

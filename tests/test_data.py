@@ -369,19 +369,24 @@ def test_write_and_load_dataset_roundtrip(tmp_path):
         assert np.allclose(s.modalities[m], quantized, atol=1e-12)
 
 
-def test_rewriting_a_dataset_keeps_its_images_and_renames_its_manifest(tmp_path):
-    # the images are written in place (a temporary file per image is a new
-    # inode); the manifest, by a temporary file renamed over the old one
+def test_rewriting_a_dataset_renames_new_files_over_the_old(tmp_path):
+    # a hard link to an old file keeps the old bytes: the rewrite made new
+    # files and renamed them over the old names, it did not write in place
     root = str(tmp_path / "ds")
     write_dataset(root, 2, 16, 16, seed=100)
     files = [os.path.join(root, sid, f"{m}.pgm") for sid in ("s0000", "s0001")
-             for m in MODALITIES]
-    inodes = [os.stat(p).st_ino for p in files]
-    manifest_inode = os.stat(os.path.join(root, "manifest.txt")).st_ino
+             for m in MODALITIES] + [os.path.join(root, "manifest.txt")]
+    old = {}
+    for i, p in enumerate(files):
+        os.link(p, tmp_path / f"old{i}")
+        old[p] = open(p, "rb").read()
     write_dataset(root, 2, 16, 16, seed=200)
-    assert [os.stat(p).st_ino for p in files] == inodes
-    assert os.stat(os.path.join(root, "manifest.txt")).st_ino != manifest_inode
+    for i, p in enumerate(files):
+        assert (tmp_path / f"old{i}").read_bytes() == old[p]
+    assert any(open(p, "rb").read() != old[p] for p in files)
     assert sorted(os.listdir(root)) == ["manifest.txt", "s0000", "s0001"]
+    assert sorted(os.listdir(os.path.join(root, "s0000"))) == \
+        [f"{m}.pgm" for m in MODALITIES]
 
 
 def test_load_sample_reads_only_the_named_modalities(tmp_path):
