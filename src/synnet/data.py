@@ -364,7 +364,15 @@ def crop_back(t: np.ndarray, rec: CropRecord) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_dataset(root: str, count: int, h: int, w: int, seed: int) -> DatasetManifest:
+    """Write `count` phantoms and their manifest under `root`.  Over an
+    earlier dataset, the samples its manifest named and the new one does
+    not are removed once the new manifest is written: their PGMs, then
+    each directory if nothing else is in it."""
     os.makedirs(root, exist_ok=True)
+    try:
+        old = load_manifest(root).sample_ids
+    except (FileNotFoundError, ParameterError):
+        old = []
     ids = []
     for i in range(count):
         sid = f"s{i:04d}"
@@ -376,6 +384,19 @@ def write_dataset(root: str, count: int, h: int, w: int, seed: int) -> DatasetMa
         ids.append(sid)
     write_file(os.path.join(root, "manifest.txt"),
                "".join(f"{sid}\t{h}\t{w}\n" for sid in ids).encode())
+    for sid in sorted(set(old) - set(ids)):
+        if sid in ("", ".", "..") or sid != os.path.basename(sid):
+            continue    # not a directory of this dataset
+        sdir = os.path.join(root, sid)
+        for mod in MODALITIES:
+            try:
+                os.remove(os.path.join(sdir, f"{mod}.pgm"))
+            except FileNotFoundError:
+                pass
+        try:
+            os.rmdir(sdir)
+        except OSError:
+            pass        # it holds files this did not write, or is gone
     return DatasetManifest(root, ids, h, w)
 
 

@@ -50,17 +50,34 @@ padded grad_out (backward) instead of padding a copy; the producer of that
 input writes straight into the interior.
 `out=` writes a result into the given array; batchnorm's forward writes
 x_hat there.  The model hands over only buffers that nothing reads
-afterwards.  A correlation takes its chunk arrays from a buffer that each
-thread keeps between calls (`_scratch`), up to twice _L2_BYTES, so that a
-forward per image does not fault in fresh pages each time.  Either way
-every float op runs in the same order as without the buffer, so results
-are bit-equal.
+afterwards.
+
+Who owns each large buffer:
+  - in training, the model's `Workspace` (`ws=`): conv and batchnorm
+    outputs, padded inputs and gradients, pool, unpool and gradient
+    outputs, the backward's stacks and weight-gradient products, and the
+    chunk arrays of the correlation and of the batchnorm backward.  Each is
+    a block cut from address space the workspace keeps; once nothing
+    references a block, its range serves the next request of any size, in
+    this step and the next, so a step faults in almost no fresh pages.  A
+    padded buffer taken from it gets its border zeroed and its interior
+    left for the producer to write;
+  - with no workspace (`ws=None`: inference, and callers of the layers
+    alone), each call allocates its outputs, and a correlation takes its
+    chunk arrays from a buffer that each thread keeps between calls
+    (`_scratch`), up to twice _L2_BYTES, so that a forward per image does
+    not fault in fresh pages each time.
+Every value a buffer holds is written before it is read, and every float
+op runs in the same order whichever buffer it writes, so results are
+bit-equal either way.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,9 +155,122 @@ def _scratch(dtype, shapes):
     buf = getattr(_thread_scratch, "buf", None)
     if buf is None or buf.nbytes < sum(sizes):
         buf = _thread_scratch.buf = np.empty(sum(sizes), dtype=np.uint8)
+    return _laid_out(buf, dtype, shapes, sizes)
+
+
+def _laid_out(buf: np.ndarray, dtype, shapes, sizes):
+    """Arrays of `shapes` laid end to end in the byte buffer `buf`."""
     starts = np.cumsum([0] + sizes)
     return [buf[lo:lo + size].view(dtype).reshape(shape)
             for lo, size, shape in zip(starts, sizes, shapes)]
+
+
+_ALIGN = 64                 # every block starts on a cache line
+_RESERVE_BYTES = 1 << 30    # the least address space a workspace reserves at once
+
+
+class Workspace:
+    """The large buffers of one model's training steps: blocks cut from
+    address space that the workspace keeps, and handed out again once free.
+
+    It reserves address space in byte arrays of at least _RESERVE_BYTES, and
+    at least as much as it has reserved already, so that a step's blocks
+    share one reservation and its free ranges merge.  Pages are mapped only
+    when first written, so a reservation holds resident memory only as far
+    up as blocks have reached (`nbytes`); tracemalloc counts the whole
+    reservation.  A request takes the lowest free range that fits it.
+    Every array made from a block references it, so a block is freed once
+    the last of them is gone; its range then goes back, merged with free
+    neighbours, at the next request.  So memory that one layer frees serves
+    the next request of any size, and the next step finds every block it
+    needs already mapped.  Whole buffers reused only by size served the
+    step's mix of sizes badly: they held 141-151 MiB for the paper step.
+
+    Not for concurrent use: a model's train-mode calls run one at a time.
+    """
+
+    def __init__(self):
+        self._reserved = []    # byte arrays of address space
+        self._free = []        # per reservation, its sorted free [start, stop) ranges
+        self._reached = []     # per reservation, the highest stop handed out
+        self._freed = []       # (reservation, start, stop) of blocks freed since
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes up to which blocks have reached in each reservation: the
+        most the workspace holds resident."""
+        return sum(self._reached)
+
+    def _release(self, r: int, lo: int, hi: int):
+        free = self._free[r]
+        i = bisect.bisect(free, [lo, hi])
+        if i < len(free) and free[i][0] == hi:
+            hi = free.pop(i)[1]
+        if i and free[i - 1][1] == lo:
+            free[i - 1][1] = hi
+        else:
+            free.insert(i, [lo, hi])
+
+    def _take(self, nbytes: int) -> np.ndarray:
+        size = max(_ALIGN, -(-nbytes // _ALIGN) * _ALIGN)
+        # a block can be freed at any point, by the garbage collector too, so
+        # its range waits in _freed until here
+        while self._freed:
+            self._release(*self._freed.pop())
+        fit = next(((r, span) for r, free in enumerate(self._free) for span in free
+                    if span[1] - span[0] >= size), None)
+        if fit is None:
+            reserve = max(size, _RESERVE_BYTES, sum(a.nbytes for a in self._reserved))
+            try:
+                self._reserved.append(np.empty(reserve, dtype=np.uint8))
+            except MemoryError:     # address space is limited: reserve the request
+                reserve = size
+                self._reserved.append(np.empty(reserve, dtype=np.uint8))
+            self._free.append([[0, reserve]])
+            self._reached.append(0)
+            fit = len(self._free) - 1, self._free[-1][0]
+        r, span = fit
+        lo = span[0]
+        span[0] += size
+        if span[0] == span[1]:
+            self._free[r].remove(span)
+        self._reached[r] = max(self._reached[r], lo + size)
+        # an array over a memoryview, not a view of the reservation, so that
+        # the arrays made from it reference it and not the reservation
+        blk = np.frombuffer(memoryview(self._reserved[r])[lo:lo + nbytes], dtype=np.uint8)
+        weakref.finalize(blk, self._freed.append, (r, lo, lo + size))
+        return blk
+
+    def arrays(self, dtype, shapes):
+        """Uninitialised arrays of `shapes` in `dtype`, laid end to end in
+        one block; the same call as `_scratch`."""
+        dtype = np.dtype(dtype)
+        sizes = [math.prod(s) * dtype.itemsize for s in shapes]
+        return _laid_out(self._take(sum(sizes)), dtype, shapes, sizes)
+
+    def empty(self, shape, dtype) -> np.ndarray:
+        return self.arrays(dtype, [shape])[0]
+
+
+def _arrays(dtype, shapes, ws: Workspace | None):
+    if ws is None:
+        return [np.empty(s, dtype=dtype) for s in shapes]
+    return ws.arrays(dtype, shapes)
+
+
+def _empty(shape, dtype, ws: Workspace | None) -> np.ndarray:
+    return _arrays(dtype, [shape], ws)[0]
+
+
+def _empty_like(a: np.ndarray, ws: Workspace | None, dtype=None) -> np.ndarray:
+    """An uninitialised array shaped and laid out in memory as `a`."""
+    dtype = a.dtype if dtype is None else dtype
+    if ws is None:
+        return np.empty_like(a, dtype=dtype)
+    # the axes from the outermost in memory, as np.empty_like orders them
+    order = sorted(range(a.ndim), key=lambda i: -a.strides[i])
+    buf = ws.empty([a.shape[i] for i in order], dtype)
+    return buf.transpose(np.argsort(order))
 
 
 def _image_chunks(n: int, per_image: int):
@@ -177,32 +307,46 @@ def _interior(flat: np.ndarray, h: int, w: int, p: int) -> np.ndarray:
     return flat.reshape(n, c, h + 2 * p, w + 2 * p)[:, :, p:p + h, p:p + w]
 
 
-def zero_padded(shape: tuple, k: int, dtype):
-    """A zero-filled flat buffer for a k x k conv's input of `shape`, padded by
-    k // 2 on each side, and its interior view of `shape`.
+def zero_padded(shape: tuple, k: int, dtype, ws: Workspace | None = None):
+    """A flat buffer for a k x k conv's input of `shape`, padded by k // 2 on
+    each side with zeros, and its interior view of `shape`.  Without a
+    workspace the interior is zero too; from one, it is left for the caller
+    to write whole.
 
     Write the conv input into the interior, then pass the flat buffer as
     `padded=` to `conv2d_forward` or `conv2d_backward`.
     """
     n, c, h, w = shape
     p = k // 2
-    flat = np.zeros((n, c, (h + 2 * p) * (w + 2 * p)), dtype=dtype)
+    hp, wp = h + 2 * p, w + 2 * p
+    if ws is None:
+        flat = np.zeros((n, c, hp * wp), dtype=dtype)
+        return flat, _interior(flat, h, w, p)
+    flat = ws.empty((n, c, hp * wp), dtype)
+    if p:
+        # a reused buffer may hold anything there, a 3x3 backward's input
+        # gradient among it
+        grid = flat.reshape(n, c, hp, wp)
+        for edge in (grid[:, :, :p], grid[:, :, hp - p:],
+                     grid[:, :, p:hp - p, :p], grid[:, :, p:hp - p, wp - p:]):
+            edge.fill(0)
     return flat, _interior(flat, h, w, p)
 
 
-def _pad_flat(x: np.ndarray, p: int) -> np.ndarray:
+def _pad_flat(x: np.ndarray, p: int, ws: Workspace | None) -> np.ndarray:
     n, c, h, w = x.shape
     if p == 0:
         return x.reshape(n, c, -1)   # a view when each image's rows are contiguous
-    flat, inner = zero_padded(x.shape, 2 * p + 1, x.dtype)
+    flat, inner = zero_padded(x.shape, 2 * p + 1, x.dtype, ws)
     inner[...] = x
     return flat
 
 
-def _padded_input(x: np.ndarray, p: int, padded: np.ndarray | None) -> np.ndarray:
+def _padded_input(x: np.ndarray, p: int, padded: np.ndarray | None,
+                  ws: Workspace | None = None) -> np.ndarray:
     """`padded` once checked to be x's zero-padded flat buffer, or a new one."""
     if padded is None:
-        return _pad_flat(x, p)
+        return _pad_flat(x, p, ws)
     n, c, h, w = x.shape
     if padded.shape != (n, c, (h + 2 * p) * (w + 2 * p)) or padded.dtype != x.dtype:
         raise ShapeError(f"padded buffer {padded.shape} {padded.dtype} does not fit "
@@ -219,19 +363,22 @@ def _shifted(flat: np.ndarray, k: int, wp: int, span: int):
     return [flat[:, :, u * wp + v:u * wp + v + span] for u in range(k) for v in range(k)]
 
 
-def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None) -> np.ndarray:
+def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None,
+               ws: Workspace | None = None) -> np.ndarray:
     """Same-padded cross-correlation of a padded flat input (n, in_c, (h+2p)*(wd+2p))
     into `out`, an (n, out_c, h, wd) array of any strides, plus `bias` (broadcast
     per output channel) if given; returns out.
 
     Each chunk of images is correlated into a chunk-sized buffer of wp columns
     per row, then written into out without its junk columns, adding the bias in
-    the same pass.  The chunk buffers come from the thread's kept `_scratch`.
+    the same pass.  The chunk buffers come from `ws`, else from the thread's
+    kept `_scratch`.
     """
     n, out_c, h, wd = out.shape
     in_c, k = w.shape[1], w.shape[2]
     wp = wd + k - 1
     span = h * wp - (k - 1)
+    take = _scratch if ws is None else ws.arrays
 
     def emit(sl, rows):
         rows = rows.reshape(len(rows), out_c, h, wp)[..., :wd]
@@ -251,8 +398,8 @@ def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None) -> n
         kk = k * k
         # stack and output rows of one chunk fit in L2
         chunks = _image_chunks(n, (kk * in_c + out_c) * span * flat.itemsize)
-        stack, rows = _scratch(flat.dtype, [(chunks[0].stop, in_c, kk, span),
-                                            (chunks[0].stop, out_c, h * wp)])
+        stack, rows = take(flat.dtype, [(chunks[0].stop, in_c, kk, span),
+                                        (chunks[0].stop, out_c, h * wp)])
         w_rows = w.reshape(out_c, -1)
         for sl in chunks:
             st, r = stack[:sl.stop - sl.start], rows[:sl.stop - sl.start]
@@ -265,8 +412,8 @@ def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None) -> n
         taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, out_c, in_c)
         # accumulator, partial product and input rows of one chunk fit in L2
         chunks = _image_chunks(n, (2 * out_c + in_c) * h * wp * flat.itemsize)
-        rows, part = _scratch(flat.dtype, [(chunks[0].stop, out_c, h * wp),
-                                           (chunks[0].stop, out_c, span)])
+        rows, part = take(flat.dtype, [(chunks[0].stop, out_c, h * wp),
+                                       (chunks[0].stop, out_c, span)])
         for sl in chunks:
             r = rows[:sl.stop - sl.start]
             head = r[:, :, :span]
@@ -279,24 +426,35 @@ def _correlate(flat: np.ndarray, w: np.ndarray, out: np.ndarray, bias=None) -> n
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
-                   padded: np.ndarray | None = None, keep_input: bool = True):
+                   padded: np.ndarray | None = None, keep_input: bool = True,
+                   ws: Workspace | None = None, out: np.ndarray | None = None):
     """Same-padded cross-correlation plus an optional per-output-channel bias.
 
     `padded` is x's buffer from `zero_padded` (x its interior), kept as the
     tape's `x_flat` instead of a padded copy.  With `keep_input` False the
     tape keeps no input: the caller rebuilds it bit for bit and sets it as
-    the tape's `x_flat` before the backward.
+    the tape's `x_flat` before the backward.  The output goes into `out`
+    if given, laid out channel-major as batchnorm needs it (an (out_c, n,
+    h, w) array transposed); it, a padded copy and the chunk arrays come
+    from `ws` if given.
     """
     check_4d(x, "x")
     out_c, in_c, k = _check_conv_params(w, b)
     n, c, h, wd = x.shape
     if c != in_c:
         raise ShapeError(f"input has {c} channels, kernel expects {in_c}")
-    flat = _padded_input(x, k // 2, padded)
+    flat = _padded_input(x, k // 2, padded, ws)
     # channel-major memory, (out_c, n, h, w): batchnorm reduces per channel
-    y = np.empty((out_c, n, h, wd), dtype=x.dtype).transpose(1, 0, 2, 3)
+    if out is None:
+        y = _empty((out_c, n, h, wd), x.dtype, ws).transpose(1, 0, 2, 3)
+    elif (out.shape != (n, out_c, h, wd) or out.dtype != x.dtype
+          or not out.transpose(1, 0, 2, 3).flags.c_contiguous):
+        raise ShapeError(f"out {out.shape} {out.dtype} is not a channel-major "
+                         f"({n},{out_c},{h},{wd}) {x.dtype} array")
+    else:
+        y = out
     bias = None if b is None else b.astype(x.dtype)[None, :, None, None]
-    _correlate(flat, w.astype(x.dtype, copy=False), y, bias)
+    _correlate(flat, w.astype(x.dtype, copy=False), y, bias, ws)
     return y, ConvTape(flat if keep_input else None, w, x.shape, b is not None)
 
 
@@ -317,7 +475,7 @@ def _units(n: int, span: int, per_column: int):
                      for i in range(n) for lo in range(0, span, band))
 
 
-def _stacked_backward(x_flat, gflat, w, wp, span, grad_input):
+def _stacked_backward(x_flat, gflat, w, wp, span, grad_input, ws):
     """The (k*k, out_c, in_c) weight gradient, summed over images in double,
     and whether the input gradient was formed too.
 
@@ -338,9 +496,11 @@ def _stacked_backward(x_flat, gflat, w, wp, span, grad_input):
     grad_input = grad_input and out_side
     if grad_input:     # (in_c, k*k*out_c) weights in (tap, out) order
         w_st = w.transpose(1, 2, 3, 0).reshape(in_c, -1).astype(gflat.dtype, copy=False)
-    c = src.shape[1]
+    c, other_c = src.shape[1], other.shape[1]
     images, columns, units = _units(len(src), span, kk * c * src.itemsize)
-    stack = np.empty((images, kk * c, columns), dtype=src.dtype)
+    # the stack, and each unit's product of it with the other side's centre
+    prod_shape = (images, kk * c, other_c) if out_side else (images, other_c, kk * c)
+    stack, prods = _arrays(src.dtype, [(images, kk * c, columns), prod_shape], ws)
     grad_w = np.zeros((kk, out_c, in_c))
     for sl, cols in units:
         st = stack[:sl.stop - sl.start, :, :cols.stop - cols.start]
@@ -348,18 +508,18 @@ def _stacked_backward(x_flat, gflat, w, wp, span, grad_input):
             st[:, t * c:(t + 1) * c] = src[sl, :, s + cols.start:s + cols.stop]
         oc = other[sl, :, centre + cols.start:centre + cols.stop]
         if out_side:
-            part = np.matmul(st, oc.transpose(0, 2, 1)).sum(axis=0)
+            part = np.matmul(st, oc.transpose(0, 2, 1), out=prods[:len(st)]).sum(axis=0)
             grad_w += part.reshape(kk, out_c, in_c)
             if grad_input:
                 np.matmul(w_st, st, out=oc)
         else:
-            part = np.matmul(oc, st.transpose(0, 2, 1)).sum(axis=0)
+            part = np.matmul(oc, st.transpose(0, 2, 1), out=prods[:len(st)]).sum(axis=0)
             grad_w += part.reshape(out_c, kk, in_c).transpose(1, 0, 2)
     return grad_w, grad_input
 
 
 def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | None = None,
-                    grad_input: bool = True):
+                    grad_input: bool = True, ws: Workspace | None = None):
     """Gradients w.r.t. input, weights and bias (None if the forward had none).
 
     Consumes the tape, and a second backward on it raises UsageError.  A 3x3
@@ -368,6 +528,8 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
     drops that input and returns a new array.  `padded` is grad_out's buffer
     from `zero_padded` (grad_out its interior), used instead of a padded copy.
     With `grad_input` False the input gradient is not formed and is None.
+    A padded copy, the stack, a 1x1 input gradient and the chunk arrays come
+    from `ws` if given.
     """
     w = tape.weights
     out_c, in_c, k, _ = w.shape
@@ -385,17 +547,17 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
     x_flat, tape.x_flat = tape.x_flat, None
     span = h * wp - (k - 1)
     # grad_out padded like the input: row width wp, zeros in the junk columns
-    gflat = _padded_input(grad_out, p, padded)
+    gflat = _padded_input(grad_out, p, padded, ws)
     grad_b = grad_out.sum(axis=(0, 2, 3)).astype(w.dtype) if tape.has_bias else None
     # a 3x3 conv's input gradient goes over its spent input, straight from
     # grad_out's stack when that is the side stacked
-    grad_w, stacked = _stacked_backward(x_flat, gflat, w, wp, span, grad_input and k > 1)
+    grad_w, stacked = _stacked_backward(x_flat, gflat, w, wp, span, grad_input and k > 1, ws)
     grad_w = grad_w.transpose(1, 2, 0).reshape(w.shape).astype(w.dtype)
     if not grad_input:
         return None, grad_w, grad_b
     if k == 1:
         del x_flat      # the caller's input: dropped before a new gradient
-        grad_in = np.empty((n, c, h, wd), dtype=gflat.dtype)
+        grad_in = _empty((n, c, h, wd), gflat.dtype, ws)
     else:
         grad_in = _interior(x_flat, h, wd, p)
         if stacked:
@@ -403,7 +565,7 @@ def conv2d_backward(tape: ConvTape, grad_out: np.ndarray, padded: np.ndarray | N
     # the input gradient is the same correlation of the padded grad_out with
     # the kernel rotated 180 degrees and its in/out channels swapped
     w_rot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(gflat.dtype, copy=False)
-    return _correlate(gflat, w_rot, grad_in), grad_w, grad_b
+    return _correlate(gflat, w_rot, grad_in, None, ws), grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +595,14 @@ def _scale_shift_relu(x_hat, gamma, beta, out):
     return np.maximum(y, 0, out=y)
 
 
-def batchnorm_forward(x, gamma, beta, running_mean, running_var, out=None):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, out=None, ws=None):
     """Per-channel batch normalization by the batch mean / biased variance over
     (n,h,w), then ReLU; inference uses `batchnorm_fold` instead.
     Returns (y, tape, new_running_mean, new_running_var).
 
     The tape keeps no ReLU mask: the backward rebuilds it from x_hat, gamma
     and beta.  x_hat, which the tape keeps, goes into `out` if given; pass x
-    itself to centre it in place.
+    itself to centre it in place.  y comes from `ws` if given.
     """
     check_4d(x, "x")
     n, c, h, w = x.shape
@@ -452,7 +614,7 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, out=None):
     # centre once; the centred values become x_hat in place
     x_hat = np.subtract(x, mean[None, :, None, None], out=out)
     # the squares' buffer becomes y once the variance is taken
-    sq = np.square(x_hat)
+    sq = np.square(x_hat, out=_empty_like(x_hat, ws))
     var = sq.mean(axis=(0, 2, 3))                        # biased
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat *= inv_std[None, :, None, None]
@@ -463,14 +625,17 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, out=None):
             new_mean.astype(running_mean.dtype), new_var.astype(running_var.dtype))
 
 
-def batchnorm_output(tape: BatchNormTape, out: np.ndarray | None = None) -> np.ndarray:
+def batchnorm_output(tape: BatchNormTape, out: np.ndarray | None = None,
+                     ws: Workspace | None = None) -> np.ndarray:
     """The forward's output y = max(x_hat * gamma + beta, 0), rebuilt from its
     tape by the same float ops, so bit for bit; into `out` if given, else into
-    a new array laid out as x_hat.  The tape is not consumed."""
+    an array laid out as x_hat, from `ws` if given.  The tape is not consumed."""
     if tape.x_hat is None:
         raise UsageError("batchnorm tape already consumed by a backward")
     if out is not None and out.shape != tape.x_hat.shape:
         raise ShapeError(f"out {out.shape} != batchnorm output {tape.x_hat.shape}")
+    if out is None:
+        out = _empty_like(tape.x_hat, ws)
     return _scale_shift_relu(tape.x_hat, tape.gamma, tape.beta, out)
 
 
@@ -482,10 +647,12 @@ def batchnorm_fold(w, gamma, beta, running_mean, running_var):
     return w * s[:, None, None, None], beta - running_mean * s
 
 
-def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
+def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray,
+                       ws: Workspace | None = None):
     """Backward of batchnorm and its ReLU, through the batch mean and
     variance.  Consumes the tape and `grad_out`: the ReLU mask is applied
     to grad_out in place and the input gradient is written over x_hat.
+    The chunk arrays come from `ws` if given.
 
     The mask is rebuilt as x_hat * gamma > -beta.  The forward's ReLU saw
     round(x_hat * gamma) + beta rounded, and a rounded sum is positive
@@ -508,8 +675,8 @@ def batchnorm_backward(tape: BatchNormTape, grad_out: np.ndarray):
     dtype = x_hat.dtype
     # x_hat, grad_out, the product buffer and the mask of one chunk fit in L2
     chunks = _image_chunks(n, c * h * w * (3 * dtype.itemsize + 1))
-    prod = np.empty((c, chunks[0].stop, h, w), dtype=dtype).transpose(1, 0, 2, 3)
-    mask = np.empty((c, chunks[0].stop, h, w), dtype=bool).transpose(1, 0, 2, 3)
+    prod = _empty((c, chunks[0].stop, h, w), dtype, ws).transpose(1, 0, 2, 3)
+    mask = _empty((c, chunks[0].stop, h, w), bool, ws).transpose(1, 0, 2, 3)
     gamma_c, neg_beta = _per_channel(gamma, dtype), _per_channel(-beta, dtype)
     # each chunk's per-channel sums, added up in double
     grad_gamma = np.zeros(c)
@@ -552,15 +719,23 @@ def _corner_mask(offsets: np.ndarray, o: int) -> np.ndarray:
     return np.negative(mask, out=mask)
 
 
-def maxpool2x2_forward(x: np.ndarray):
-    """(pooled, offsets): each value's uint8 argmax offset 0..3 in its window."""
+def maxpool2x2_forward(x: np.ndarray, out: np.ndarray | None = None,
+                       ws: Workspace | None = None):
+    """(pooled, offsets): each value's uint8 argmax offset 0..3 in its window.
+    The pooled values go into `out` if given; they and the offsets come from
+    `ws` if given."""
     check_4d(x, "x")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
     first, *rest = _corners(x)
-    best, running = np.empty_like(first), first
-    offsets = np.zeros_like(first, dtype=np.uint8)
+    if out is None:
+        out = _empty_like(first, ws)
+    elif out.shape != first.shape or out.dtype != x.dtype:
+        raise ShapeError(f"out {out.shape} {out.dtype} != pooled shape {first.shape} {x.dtype}")
+    best, running = out, first
+    offsets = _empty_like(first, ws, np.uint8)
+    offsets.fill(0)
     for o, corner in enumerate(rest, start=1):
         # the last corner strictly above the running max is the first one
         # equal to the window max, so the largest such offset is the argmax
@@ -572,12 +747,13 @@ def maxpool2x2_forward(x: np.ndarray):
     return best, offsets
 
 
-def _scatter_2x2(values: np.ndarray, offsets: np.ndarray, out: np.ndarray | None = None):
+def _scatter_2x2(values: np.ndarray, offsets: np.ndarray, out: np.ndarray | None = None,
+                 ws: Workspace | None = None):
     """Each value at its recorded offset in a 2x2 block, +0.0 elsewhere; into
-    `out` if given."""
+    `out` if given, else into an array from `ws` if given."""
     n, c, hh, ww = values.shape
     if out is None:
-        out = np.empty((n, c, hh * 2, ww * 2), dtype=values.dtype)
+        out = _empty((n, c, hh * 2, ww * 2), values.dtype, ws)
     elif out.shape != (n, c, hh * 2, ww * 2) or out.dtype != values.dtype:
         raise ShapeError(f"out {out.shape} {out.dtype} != unpooled shape "
                          f"{(n, c, hh * 2, ww * 2)} {values.dtype}")
@@ -589,21 +765,25 @@ def _scatter_2x2(values: np.ndarray, offsets: np.ndarray, out: np.ndarray | None
     return out
 
 
-def _gather_2x2(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The value at each 2x2 block's recorded offset."""
-    out = None
-    for o, corner in enumerate(_corners(_bits(x))):
-        picked = np.bitwise_and(corner, _corner_mask(offsets, o))
-        out = picked if out is None else np.bitwise_or(out, picked, out=out)
-    return out.view(x.dtype)
+def _gather_2x2(x: np.ndarray, offsets: np.ndarray, ws: Workspace | None) -> np.ndarray:
+    """The value at each 2x2 block's recorded offset, into an array from `ws`
+    if given."""
+    out = _empty(offsets.shape, x.dtype, ws)
+    bits = _bits(out)
+    first, *rest = _corners(_bits(x))
+    np.bitwise_and(first, _corner_mask(offsets, 0), out=bits)
+    for o, corner in enumerate(rest, start=1):
+        np.bitwise_or(bits, np.bitwise_and(corner, _corner_mask(offsets, o)), out=bits)
+    return out
 
 
-def maxpool2x2_backward(offsets: np.ndarray, grad_out: np.ndarray):
+def maxpool2x2_backward(offsets: np.ndarray, grad_out: np.ndarray,
+                        ws: Workspace | None = None):
     if grad_out.shape != offsets.shape:
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != pooled shape {offsets.shape}"
         )
-    return _scatter_2x2(grad_out, offsets)
+    return _scatter_2x2(grad_out, offsets, ws=ws)
 
 
 def unpool2x2_forward(v: np.ndarray, offsets: np.ndarray, out: np.ndarray | None = None):
@@ -614,10 +794,11 @@ def unpool2x2_forward(v: np.ndarray, offsets: np.ndarray, out: np.ndarray | None
     return _scatter_2x2(v, offsets, out)
 
 
-def unpool2x2_backward(offsets: np.ndarray, grad_out: np.ndarray):
+def unpool2x2_backward(offsets: np.ndarray, grad_out: np.ndarray,
+                       ws: Workspace | None = None):
     n, c, hh, ww = offsets.shape
     if grad_out.shape != (n, c, hh * 2, ww * 2):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != unpooled shape {(n, c, hh*2, ww*2)}"
         )
-    return _gather_2x2(grad_out, offsets)
+    return _gather_2x2(grad_out, offsets, ws)

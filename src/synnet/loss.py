@@ -20,6 +20,7 @@ finite differences by the verification suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,18 @@ def _check_pair(pred, target, weights=None):
                 f"weight map shape {weights.shape} != ({n},1,{h},{w})")
         if np.any(weights < 0):
             raise ParameterError("weight map must be nonnegative")
+
+
+# bytes of one float64 map over a chunk of images: SSIM and TV keep about
+# twenty such maps live at once, so their temporaries fit in L2 at any batch
+_CHUNK_BYTES = 32 << 10
+
+
+def _image_chunks(shape):
+    """Slices over the images of an (n, ...) `shape`, each as many as fit one
+    float64 map of _CHUNK_BYTES, and at least one."""
+    step = max(1, _CHUNK_BYTES // (math.prod(shape[1:]) * 8))
+    return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +224,33 @@ def ssim_loss(pred, target, cfg: SsimConfig, weights=None):
     the window mean and standard deviation of the prediction, then maps the
     coefficients of the window mean of y and of y^2 back through the
     window's adjoint.
+
+    Both windows act on each image alone, so the terms are formed a chunk
+    of images at a time, by the same float ops as over the whole batch; the
+    per-pixel terms are summed once, over the whole batch.
     """
     _check_pair(pred, target, weights)
     n = pred.shape[0]
     p = pred[0].size
-    y = pred.astype(np.float64)
     filt, adjoint = _window(pred.shape, cfg)
-    mux, muy, vy, sx, sy, lum, con = _ssim_stats(target.astype(np.float64), y, filt)
-    q = lum * con
-    w = 1.0 if weights is None else weights.astype(np.float64)
-    loss = float(np.sum(w * (1.0 - q)) / (n * p))
+    per_pixel = np.empty(pred.shape)            # w * (1 - Q)
+    grad = np.empty(pred.shape, dtype=pred.dtype)
+    for sl in _image_chunks(pred.shape):
+        y = pred[sl].astype(np.float64)
+        mux, muy, vy, sx, sy, lum, con = _ssim_stats(target[sl].astype(np.float64), y, filt)
+        q = lum * con
+        w = 1.0 if weights is None else weights[sl].astype(np.float64)
+        np.multiply(w, 1.0 - q, out=per_pixel[sl])
 
-    dl_dmuy = (2 * mux - lum * 2 * muy) / (mux * mux + muy * muy + C1)
-    dc_dsy = (2 * sx - con * 2 * sy) / (sx * sx + sy * sy + C2)
-    dsy_dvy = np.where(vy > 0, 0.5 / sy, 0.0)
-    g = -(w * np.ones_like(q)) / (n * p)
-    coef_mu = g * (con * dl_dmuy + lum * dc_dsy * dsy_dvy * (-2 * muy))
-    coef_m2 = g * (lum * dc_dsy * dsy_dvy)
-    g_mu, g_m2 = adjoint(np.stack([coef_mu, coef_m2]))
-    return loss, (g_mu + g_m2 * (2 * y)).astype(pred.dtype)
+        dl_dmuy = (2 * mux - lum * 2 * muy) / (mux * mux + muy * muy + C1)
+        dc_dsy = (2 * sx - con * 2 * sy) / (sx * sx + sy * sy + C2)
+        dsy_dvy = np.where(vy > 0, 0.5 / sy, 0.0)
+        g = -(w * np.ones_like(q)) / (n * p)
+        coef_mu = g * (con * dl_dmuy + lum * dc_dsy * dsy_dvy * (-2 * muy))
+        coef_m2 = g * (lum * dc_dsy * dsy_dvy)
+        g_mu, g_m2 = adjoint(np.stack([coef_mu, coef_m2]))
+        grad[sl] = g_mu + g_m2 * (2 * y)
+    return float(np.sum(per_pixel) / (n * p)), grad
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +267,24 @@ def tv_loss(pred, eps=1e-8):
     check_tensor(pred, "pred")
     if eps < 0:
         raise ParameterError("eps must be >= 0")
-    n = pred.shape[0]
-    y = pred.astype(np.float64)
-    p = y[:, :, 1:, :-1] - y[:, :, :-1, :-1]
-    q = y[:, :, :-1, 1:] - y[:, :, :-1, :-1]
-    t = np.sqrt(p * p + q * q + eps)
-    loss = float(t.sum() / n)
-    grad = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(t > 0, 1.0 / t, 0.0)
-    grad[:, :, :-1, :-1] += (-p - q) * inv
-    grad[:, :, 1:, :-1] += p * inv
-    grad[:, :, :-1, 1:] += q * inv
-    return loss, (grad / n).astype(pred.dtype)
+    n, c, h, w = pred.shape
+    t = np.empty((n, c, h - 1, w - 1))
+    grad = np.empty(pred.shape, dtype=pred.dtype)
+    # each image's terms alone, a chunk of images at a time; t is summed
+    # once, over the whole batch
+    for sl in _image_chunks(pred.shape):
+        y = pred[sl].astype(np.float64)
+        p = y[:, :, 1:, :-1] - y[:, :, :-1, :-1]
+        q = y[:, :, :-1, 1:] - y[:, :, :-1, :-1]
+        ts = np.sqrt(p * p + q * q + eps, out=t[sl])
+        g = np.zeros_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = np.where(ts > 0, 1.0 / ts, 0.0)
+        g[:, :, :-1, :-1] += (-p - q) * inv
+        g[:, :, 1:, :-1] += p * inv
+        g[:, :, :-1, 1:] += q * inv
+        grad[sl] = g / n
+    return float(t.sum() / n), grad
 
 
 # ---------------------------------------------------------------------------

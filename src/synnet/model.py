@@ -13,9 +13,11 @@ Encoder stage:  block -> maxpool2x2 (argmax offsets kept).
 Decoder stage:  unpool (matched encoder offsets) -> concat matched encoder
                 pre-pool feature maps -> block.  `_decoder_input` writes the
                 unpool and the skip maps straight into the block conv's
-                zero-padded input buffer (`layers.zero_padded`); each skip
-                map is freed after its copy into the last decoder arm that
-                reads it.
+                zero-padded input buffer (`layers.zero_padded`).  In
+                training each skip map is rebuilt there from its encoder
+                block's batchnorm tape, so the encoder frees its output once
+                pooled; at inference each is freed after its copy into the
+                last decoder arm that reads it.
 Synthesis head: conv1x1 with bias, linear output.
 
 Trace:          per block, its conv tape and batchnorm tape (x_hat, gamma,
@@ -40,6 +42,18 @@ Trace:          per block, its conv tape and batchnorm tape (x_hat, gamma,
                 backward copies each decoder block's skip gradients out of
                 that buffer, which is freed once the unpool gradient has
                 been gathered from it.
+
+Buffers:        in train mode every large array of the forward and the
+                backward, tapes and the backward's transients alike, is a
+                block of the model's `layers.Workspace` (`self.workspace`),
+                made empty with the model and freed with it.  A block goes
+                back to the workspace once the last array that references
+                it is gone, and the next request of any size takes its
+                place, later in the step or in the next one.  The
+                predictions, which outlive the step, the concatenated
+                bottlenecks and the parameter gradients are NumPy's.  Infer
+                mode uses no workspace, since `predict` builds a model per
+                call.
 
 Block convs have no bias: batchnorm subtracts the per-channel mean, so a
 bias in front of it has an exactly zero gradient and never learns. The
@@ -139,6 +153,8 @@ class SynNetModel:
 
     def __init__(self, topology: Topology):
         self.topology = topology
+        # the large buffers of train-mode forwards and backwards
+        self.workspace = layers.Workspace()
 
     # -- parameter construction -------------------------------------------
 
@@ -233,15 +249,24 @@ class SynNetModel:
         padded = [data.pad_to_multiple(x, 2 ** t.depth) for x in inputs]
         crop = padded[0][1]
         keep = mode == "train"
+        ws = self.workspace if keep else None
 
         enc_tapes, skips, bottlenecks = [], [], []
         for a in range(t.in_arms):
-            x = padded[a][0]
+            flat, x = None, padded[a][0]
             arm_tapes, arm_skips = [], []
             for i in range(t.depth):
-                x, bt = _block(params, state, f"enc.arm{a}.block{i}", lambda: (None, x), mode)
-                arm_skips.append(x)
-                x, offsets = layers.maxpool2x2_forward(x)
+                x, bt = _block(params, state, f"enc.arm{a}.block{i}", lambda: (flat, x), ws)
+                # in training the decoders rebuild the skip map from the tape,
+                # as the backward does, so the output is freed once pooled
+                arm_skips.append(x if bt is None else bt[1])
+                flat, out = None, None
+                if ws is not None and i < t.depth - 1:
+                    # pooled straight into the next block's zero-padded input
+                    n, c, h, w = x.shape
+                    flat, out = layers.zero_padded((n, c, h // 2, w // 2), 3, x.dtype, ws)
+                x, offsets = layers.maxpool2x2_forward(x, out=out, ws=ws)
+                del out
                 arm_tapes.append((bt, offsets))     # bt is None in infer mode
             enc_tapes.append(arm_tapes)
             skips.append(arm_skips)
@@ -257,7 +282,7 @@ class SynNetModel:
                 name = "fuse" if t.kind == "miso" else f"fuse.arm{d}"
                 cat = np.concatenate(bottlenecks, axis=1)
                 x, ft = layers.conv2d_forward(
-                    cat, params[f"{name}.conv.weight"], params[f"{name}.conv.bias"])
+                    cat, params[f"{name}.conv.weight"], params[f"{name}.conv.bias"], ws=ws)
             fuse_tapes.append(ft if keep else None)
 
             arm_dec = []
@@ -271,19 +296,32 @@ class SynNetModel:
                     for a in t.skip_arms(d):
                         if last_reader[a] == d:
                             skips[a][i] = None   # copied for the last time: free it
-                    return _decoder_input(x, offsets, maps, split)
+                    return _decoder_input(x, offsets, maps, split, ws)
 
+                # a kept output is taken before the input buffer, so that the
+                # input, freed once convolved, leaves no hole below it; but
+                # the last block's after, as the backward rebuilds that
+                # block's input, a little larger, over the output's place
+                out = None
+                if ws is not None and i > 0:
+                    n, _, hh, ww = offsets.shape
+                    out = ws.empty((t.decoder_width(i), n, 2 * hh, 2 * ww),
+                                   x.dtype).transpose(1, 0, 2, 3)
                 # the backward rebuilds the input, so the tape keeps none
-                y, bt = _block(params, state, f"dec.arm{d}.block{i}", conv_input, mode,
-                               keep_input=False)
+                y, bt = _block(params, state, f"dec.arm{d}.block{i}", conv_input, ws,
+                               keep_input=False, out=out)
+                del out
                 arm_dec.append((x, offsets, split, bt) if keep else None)
                 x = y
             dec_tapes.append(arm_dec)
 
-            # the backward rebuilds the head's input from the last block's tape
+            # the backward rebuilds the head's input from the last block's
+            # tape; the prediction outlives the step, so it is not in `ws`
+            n, _, h, w = x.shape
             y, ht = layers.conv2d_forward(
                 x, params[f"head.arm{d}.conv.weight"], params[f"head.arm{d}.conv.bias"],
-                keep_input=False)
+                keep_input=False, ws=ws,
+                out=np.empty((t.out_channels, n, h, w), x.dtype).transpose(1, 0, 2, 3))
             del x
             preds.append(data.crop_back(y, crop))
             head_tapes.append(ht if keep else None)
@@ -325,6 +363,7 @@ class SynNetModel:
             raise UsageError(
                 f"expected {t.out_arms} prediction gradient(s), got {len(grad_preds)}")
 
+        ws = self.workspace
         grads = {name: np.zeros(p.shape, dtype=p.dtype) for name, p in params.items()}
         # skip_grads[a][i] accumulates decoder-side gradient into encoder maps
         skip_grads = [[None] * t.depth for _ in range(t.in_arms)]
@@ -348,10 +387,10 @@ class SynNetModel:
             # block's batchnorm backward writes over its x_hat
             ht = trace.head_tapes.pop(0)
             _, _, _, (_, last_bn) = trace.dec_tapes[d][-1]
-            x = layers.batchnorm_output(last_bn)
+            x = layers.batchnorm_output(last_bn, ws=ws)
             ht.x_flat = x.reshape(x.shape[0], x.shape[1], -1)
             del x
-            g, gw, gb = layers.conv2d_backward(ht, g)
+            g, gw, gb = layers.conv2d_backward(ht, g, ws=ws)
             add(f"head.arm{d}.conv.weight", gw)
             add(f"head.arm{d}.conv.bias", gb)
 
@@ -362,17 +401,20 @@ class SynNetModel:
                 tapes.append(g)
                 del g
                 g = _block_backward(
-                    tapes, add, f"dec.arm{d}.block{i}",
-                    conv_input=lambda: _decoder_input(src, offsets, skip_tapes, split))
+                    tapes, add, f"dec.arm{d}.block{i}", ws,
+                    conv_input=lambda: _decoder_input(src, offsets, skip_tapes, split, ws))
                 # split concat gradient: unpooled path first, then skip maps.
                 # g is the interior of the conv's padded input buffer, so each
                 # skip gradient is copied (or summed) out, and no view keeps
                 # that buffer alive until the encoder block that takes it
                 up, *skips = np.split(g, np.cumsum(split)[:-1], axis=1)
                 for a, piece in zip(t.skip_arms(d), skips):
-                    skip_grads[a][i] = piece.copy() if skip_grads[a][i] is None \
-                        else skip_grads[a][i] + piece
-                g = layers.unpool2x2_backward(offsets, up)
+                    if skip_grads[a][i] is None:
+                        skip_grads[a][i] = ws.empty(piece.shape, piece.dtype)
+                        np.copyto(skip_grads[a][i], piece)
+                    else:
+                        skip_grads[a][i] += piece
+                g = layers.unpool2x2_backward(offsets, up, ws=ws)
                 del up, skips, piece
 
             fuse_tape = trace.fuse_tapes.pop(0)
@@ -380,7 +422,7 @@ class SynNetModel:
                 acc(bott_grads, 0, g)
             else:
                 name = "fuse" if t.kind == "miso" else f"fuse.arm{d}"
-                g, gw, gb = layers.conv2d_backward(fuse_tape, g)
+                g, gw, gb = layers.conv2d_backward(fuse_tape, g, ws=ws)
                 add(f"{name}.conv.weight", gw)
                 add(f"{name}.conv.bias", gb)
                 cb = t.channels[-1]
@@ -391,48 +433,50 @@ class SynNetModel:
             g = bott_grads[a]
             for i in reversed(range(t.depth)):
                 tapes, offsets = trace.enc_tapes[a].pop()
-                g = layers.maxpool2x2_backward(offsets, g)
+                g = layers.maxpool2x2_backward(offsets, g, ws=ws)
                 if skip_grads[a][i] is not None:
                     g += skip_grads[a][i]
                 tapes.append(g)
                 del g
                 # nothing reads the input gradient of an arm's first block
-                g = _block_backward(tapes, add, f"enc.arm{a}.block{i}", grad_input=i > 0)
+                g = _block_backward(tapes, add, f"enc.arm{a}.block{i}", ws, grad_input=i > 0)
 
         return grads
 
 
-def _block(params, state, prefix, conv_input, mode, keep_input=True):
+def _block(params, state, prefix, conv_input, ws, keep_input=True, out=None):
     """conv3x3 -> batchnorm -> ReLU, every block's forward; returns (y, [conv,
     batchnorm] tapes).  `conv_input` returns (x's zero-padded buffer, or None
-    for the conv to pad a copy, and x).  Train mode updates the running
-    statistics in `state`; with `keep_input` False the conv tape keeps no
-    input, and the buffer is dropped before batchnorm allocates.  Infer mode
-    runs one conv with batchnorm folded in and returns tapes None."""
+    for the conv to pad a copy, and x).  `ws` is the model's workspace in
+    train mode, from which the buffers come, and None in infer mode.  Train
+    mode updates the running statistics in `state`; with `keep_input` False
+    the conv tape keeps no input, and the buffer is dropped before batchnorm
+    allocates; the conv writes into `out` if given.  Infer mode runs one
+    conv with batchnorm folded in and returns tapes None."""
     padded, x = conv_input()
     w = params[f"{prefix}.conv.weight"]
     gamma, beta = params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]
     mean, var = f"{prefix}.bn.running_mean", f"{prefix}.bn.running_var"
-    if mode == "infer":
+    if ws is None:
         y, _ = layers.conv2d_forward(
             x, *layers.batchnorm_fold(w, gamma, beta, state[mean], state[var]), padded=padded)
         return np.maximum(y, 0, out=y), None
-    y, ct = layers.conv2d_forward(x, w, padded=padded, keep_input=keep_input)
+    y, ct = layers.conv2d_forward(x, w, padded=padded, keep_input=keep_input, ws=ws, out=out)
     del padded, x
     y, bt, state[mean], state[var] = layers.batchnorm_forward(
-        y, gamma, beta, state[mean], state[var], out=y)
+        y, gamma, beta, state[mean], state[var], out=y, ws=ws)
     return y, [ct, bt]
 
 
-def _decoder_input(src, offsets, skips, split):
-    """A decoder block conv's input, built in its zero-padded buffer: src
-    unpooled by the pool's argmax offsets, then each skip map; `split` gives the
-    channel widths.  A skip is an encoder block's output, or that block's
-    batchnorm tape, from which the output is rebuilt bit for bit.  Returns
-    (buffer, interior)."""
+def _decoder_input(src, offsets, skips, split, ws):
+    """A decoder block conv's input, built in its zero-padded buffer from
+    `ws` (None for a fresh one): src unpooled by the pool's argmax offsets,
+    then each skip map; `split` gives the channel widths.  A skip is an
+    encoder block's output, or that block's batchnorm tape, from which the
+    output is rebuilt bit for bit.  Returns (buffer, interior)."""
     n, _, hh, ww = offsets.shape
     bounds = np.cumsum(split)
-    flat, cat = layers.zero_padded((n, bounds[-1], 2 * hh, 2 * ww), 3, src.dtype)
+    flat, cat = layers.zero_padded((n, bounds[-1], 2 * hh, 2 * ww), 3, src.dtype, ws)
     layers.unpool2x2_forward(src, offsets, out=cat[:, :split[0]])
     for skip, lo, hi in zip(skips, bounds[:-1], bounds[1:]):
         if isinstance(skip, layers.BatchNormTape):
@@ -442,7 +486,7 @@ def _decoder_input(src, offsets, skips, split):
     return flat, cat
 
 
-def _block_backward(tapes, add, prefix, grad_input=True, conv_input=None):
+def _block_backward(tapes, add, prefix, ws, grad_input=True, conv_input=None):
     """Backward of `_block`; adds the parameter gradients, returns the input's
     (None if `grad_input` is False).
     `tapes` is the block's [conv, batchnorm] tapes with the gradient of the
@@ -453,18 +497,19 @@ def _block_backward(tapes, add, prefix, grad_input=True, conv_input=None):
     as `_block`'s does; it is called once batchnorm's input gradient is
     freed.  The conv backward writes the input gradient over the padded
     buffer (or the kept one) and returns its interior, so it allocates no
-    full-size array."""
+    full-size array.  Its buffers come from `ws`, the model's workspace."""
     g = tapes.pop()
-    g, grad_gamma, grad_beta = layers.batchnorm_backward(tapes.pop(), g)
+    g, grad_gamma, grad_beta = layers.batchnorm_backward(tapes.pop(), g, ws)
     add(f"{prefix}.bn.gamma", grad_gamma)
     add(f"{prefix}.bn.beta", grad_beta)
     ct = tapes.pop()
-    gflat, inner = layers.zero_padded(g.shape, ct.weights.shape[-1], g.dtype)
+    gflat, inner = layers.zero_padded(g.shape, ct.weights.shape[-1], g.dtype, ws)
     inner[...] = g
     del g
     if conv_input is not None:
         ct.x_flat = conv_input()[0]
-    g, grad_w, _ = layers.conv2d_backward(ct, inner, padded=gflat, grad_input=grad_input)
+    g, grad_w, _ = layers.conv2d_backward(ct, inner, padded=gflat, grad_input=grad_input,
+                                          ws=ws)
     add(f"{prefix}.conv.weight", grad_w)
     return g
 

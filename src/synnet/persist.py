@@ -339,6 +339,9 @@ def _parse_checkpoint(r: _Reader) -> Checkpoint:
         tensors[name] = arr.astype(_TAG_DTYPES[tag])
     clen = r.u32("config length")
     config_text = r.text(clen, "config text")
+    trailing = len(r.raw) - r.pos
+    if trailing:
+        raise CheckpointError(f"{trailing} trailing bytes after the config text")
     return Checkpoint(topo, tensors, config_text, version)
 
 

@@ -389,6 +389,22 @@ def test_rewriting_a_dataset_renames_new_files_over_the_old(tmp_path):
         [f"{m}.pgm" for m in MODALITIES]
 
 
+def test_a_smaller_dataset_over_a_larger_removes_the_samples_it_drops(tmp_path):
+    # the samples the old manifest named and the new one does not lose
+    # their PGMs, and their directory unless something else is in it
+    root = str(tmp_path / "ds")
+    write_dataset(root, 5, 16, 16, seed=100)
+    with open(os.path.join(root, "s0004", "notes.txt"), "w") as f:
+        f.write("not written by write_dataset")
+    os.mkdir(os.path.join(root, "other"))
+    manifest = write_dataset(root, 3, 16, 16, seed=100)
+    assert manifest.sample_ids == load_manifest(root).sample_ids == ["s0000", "s0001", "s0002"]
+    assert sorted(os.listdir(root)) == ["manifest.txt", "other", "s0000", "s0001", "s0002",
+                                        "s0004"]
+    assert os.listdir(os.path.join(root, "s0004")) == ["notes.txt"]
+    assert sorted(os.listdir(os.path.join(root, "s0002"))) == [f"{m}.pgm" for m in MODALITIES]
+
+
 def test_load_sample_reads_only_the_named_modalities(tmp_path):
     root = str(tmp_path / "ds")
     manifest = write_dataset(root, 1, 16, 16, seed=100)

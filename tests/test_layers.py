@@ -757,3 +757,52 @@ def test_scratch_request_over_the_bound_gets_fresh_arrays():
     big = layers._scratch(f32, [(layers._SCRATCH_BYTES // 4 - 10,), (11,)])
     assert not any(np.shares_memory(a, buf) for a in big)
     assert layers._thread_scratch.buf is buf
+
+
+# ---------------------------------------------------------------------------
+# the training workspace: blocks handed out again only once free
+# ---------------------------------------------------------------------------
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_workspace_hands_a_block_out_again_only_once_no_view_of_it_is_left():
+    from synnet.layers import Workspace
+    ws = Workspace()
+    a = ws.empty((64, 32), np.float32)
+    first = _address(a)
+    view = a[3:].T[5:]      # a view of a view still holds the block
+    del a
+    b = ws.empty((64, 32), np.float32)
+    assert not np.shares_memory(b, view)
+    del view
+    c = ws.empty((64, 32), np.float32)
+    assert _address(c) == first and not np.shares_memory(b, c)
+
+
+def test_workspace_merges_free_neighbours_and_reuses_them_for_any_size():
+    from synnet.layers import Workspace
+    ws = Workspace()
+    a, b = ws.empty((1000,), np.float32), ws.empty((1000,), np.float64)
+    keep = ws.empty((10,), np.uint8)
+    held = ws.nbytes
+    start = _address(a)
+    del a, b
+    # one block as large as both freed ones, of another dtype, in their place
+    c = ws.arrays(np.float64, [(500,), (998,)])
+    assert _address(c[0]) == start and ws.nbytes == held
+    assert not np.shares_memory(c[1], keep)
+
+
+def test_zero_padded_from_a_workspace_zeroes_a_reused_border():
+    from synnet.layers import Workspace
+    ws = Workspace()
+    flat, inner = zero_padded((2, 3, 4, 5), 3, np.float32, ws)
+    flat.view(np.uint32)[...] = 0xFFFFFFFF          # NaN bits everywhere
+    address = _address(flat)
+    del flat, inner
+    flat, inner = zero_padded((2, 3, 4, 5), 3, np.float32, ws)
+    assert _address(flat) == address
+    inner[...] = 1
+    assert flat.sum() == inner.size and np.isfinite(flat).all()

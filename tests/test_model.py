@@ -308,11 +308,11 @@ def test_backward_rebuilds_each_conv_input_byte_equal(kind, monkeypatch):
     forward, backward = layers.conv2d_forward, layers.conv2d_backward
     convolved, rebuilt = {}, []
 
-    def record(x, w, b=None, padded=None, keep_input=True):
+    def record(x, w, b=None, padded=None, keep_input=True, **kwargs):
         if not keep_input:
             flat = padded if padded is not None else x.reshape(*x.shape[:2], -1)
             convolved[id(w)] = flat.copy()
-        return forward(x, w, b, padded=padded, keep_input=keep_input)
+        return forward(x, w, b, padded=padded, keep_input=keep_input, **kwargs)
 
     def compare(tape, grad_out, **kwargs):
         if id(tape.weights) in convolved:
@@ -350,10 +350,10 @@ def test_backward_frees_each_decoder_input_gradient_before_the_encoder(kind, mon
             decoder_grads.append(weakref.ref(buf))
         return gx, gw, gb
 
-    def check(tape, grad_out):
+    def check(tape, grad_out, **kwargs):
         if not checked:
             checked.append([ref() is None for ref in decoder_grads])
-        return pool_backward(tape, grad_out)
+        return pool_backward(tape, grad_out, **kwargs)
 
     monkeypatch.setattr(layers, "conv2d_backward", record)
     monkeypatch.setattr(layers, "maxpool2x2_backward", check)
@@ -364,17 +364,20 @@ def test_backward_frees_each_decoder_input_gradient_before_the_encoder(kind, mon
 
 
 def test_paper_scale_training_step_peak_memory():
-    # tracemalloc peak of one paper-scale SISO step (depth 3, channels
-    # 32/64/64, batch 8, 64x64, joint loss), in units of one 64-channel
-    # activation; the second one-step `optim.train` call is measured, so
-    # first-call allocations stay out.  Building each decoder input and each
-    # block conv's input gradient in its zero-padded buffer, and freeing each
-    # block tape once used, took it from 9.2 to 7.7; batchnorm and ReLU in
-    # place without a mask, and freeing each conv input and skip map at its
-    # last use, to 6.0; rebuilding the decoder and head conv inputs in the
-    # backward instead of keeping them on the tape, and writing each conv
-    # output chunk by chunk, to 4.1.  Writing each 3x3 conv's input gradient
-    # over its input, with an L2-sized stack on top, took it to 4.3.
+    # memory of one paper-scale SISO step (depth 3, channels 32/64/64, batch
+    # 8, 64x64, joint loss), in units of one 64-channel activation: the
+    # bytes the model's workspace holds resident, which the step's large
+    # buffers come from, plus the tracemalloc peak of the second one-step
+    # `optim.train` call, so first-call allocations stay out.  Building
+    # each decoder input and each block conv's input gradient in its
+    # zero-padded buffer, and freeing each block tape once used, took it
+    # from 9.2 to 7.7; batchnorm and ReLU in place without a mask, and
+    # freeing each conv input and skip map at its last use, to 6.0;
+    # rebuilding the decoder and head conv inputs in the backward instead of
+    # keeping them on the tape, and writing each conv output chunk by chunk,
+    # to 4.1.  Writing each 3x3 conv's input gradient over its input, with
+    # an L2-sized stack on top, took it to 4.3.  The workspace reads 4.44:
+    # 3.92 held and 0.52 traced, most of it the optimizer's and the loss's.
     import tracemalloc
     from synnet import optim
     from synnet.loss import LossWeights
@@ -396,7 +399,121 @@ def test_paper_scale_training_step_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 4.5 * activation, f"peak {peak / activation:.2f} activations"
+    held = model.workspace.nbytes
+    assert held + peak <= 4.5 * activation, \
+        f"{held / activation:.2f} held + {peak / activation:.2f} traced activations"
+
+
+# ---------------------------------------------------------------------------
+# the model's training workspace
+# ---------------------------------------------------------------------------
+
+def _pairs(topo, count, size, seed):
+    rng = RngStream(seed)
+    return [([rng.uniform((1, 1, size, size), 0, 1) for _ in range(topo.in_arms)],
+             [rng.uniform((1, 1, size, size), 0, 1) for _ in range(topo.out_arms)])
+            for _ in range(count)]
+
+
+def _train_cfg(batch):
+    from synnet import optim
+    from synnet.loss import LossWeights
+    return optim.TrainConfig(batch_size=batch, epochs=2, seed=3, loss="joint",
+                             loss_weights=LossWeights(10.0, 5.0, 0.0005, 0.0001))
+
+
+class _FreshModelEachStep:
+    """A model whose every train-mode forward is a new SynNetModel's, so no
+    step finds a buffer an earlier one used."""
+
+    def __init__(self, topology):
+        self.topology = topology
+
+    def forward(self, params, state, inputs, mode="train"):
+        self.model = SynNetModel(self.topology)
+        return self.model.forward(params, state, inputs, mode)
+
+    def backward(self, params, trace, grad_preds):
+        return self.model.backward(params, trace, grad_preds)
+
+
+@pytest.mark.parametrize("kind", ["siso", "mimo"])
+def test_a_second_step_takes_no_new_workspace_memory(kind):
+    from synnet import optim
+    topo = _tiny(kind)
+    model, params, state = build_model(topo, RngStream(40))
+    data, cfg = _pairs(topo, 6, 16, 41), _train_cfg(6)
+    cfg.epochs = 1
+    params, _, _ = optim.train(model, params, state, data, cfg, optim.OptimState(lr=0.005))
+    ws = model.workspace
+    held = (len(ws._reserved), ws.nbytes)
+    assert held[1] > 0
+    optim.train(model, params, state, data, cfg, optim.OptimState(lr=0.005))
+    assert (len(ws._reserved), ws.nbytes) == held
+
+
+@pytest.mark.parametrize("kind", ["siso", "mimo"])
+def test_a_model_stepped_again_and_again_gives_the_bits_of_fresh_models(kind):
+    # 40 samples in batches of 32 end each epoch on a partial batch of 8,
+    # and the same model then goes on at another image size
+    from synnet import optim
+    topo = _tiny(kind, channels=(4, 8))
+    runs = []
+    for model in (SynNetModel(topo), _FreshModelEachStep(topo)):
+        params, state = SynNetModel(topo).init_params(RngStream(42))
+        opt = optim.OptimState(lr=0.005)
+        history = []
+        for size in (64, 48):
+            opt.epoch = 0
+            params, opt, rows = optim.train(model, params, state, _pairs(topo, 40, size, size),
+                                            _train_cfg(32), opt)
+            history += rows
+        runs.append((history, params, state))
+    (h0, p0, s0), (h1, p1, s1) = runs
+    assert len(h0) == 8 and h0 == h1
+    for name in p0:
+        assert p0[name].tobytes() == p1[name].tobytes(), name
+    for name in s0:
+        assert s0[name].tobytes() == s1[name].tobytes(), name
+
+
+def _warm_workspace_filled_with_nan(kind):
+    """A double-precision model whose workspace a larger step has warmed
+    and whose memory is then NaN bits everywhere, and a smaller batch: a
+    border left unzeroed, or a value read before it is written, would show
+    in the gradients."""
+    topo = _tiny(kind)
+    model, params, state = build_model(topo, RngStream(43), dtype="double")
+    rng = RngStream(44)
+    warm = [rng.uniform((3, 1, 12, 16), 0, 1, dtype="double") for _ in range(topo.in_arms)]
+    preds, trace = model.forward(params, dict(state), warm, mode="train")
+    model.backward(params, trace, [rng.uniform(p.shape, -1, 1, dtype="double") for p in preds])
+    del preds, trace
+    ws = model.workspace
+    for reserved, reached in zip(ws._reserved, ws._reached):
+        reserved[:reached] = 0xFF
+    inputs = [rng.uniform((2, 1, 8, 8), 0, 1, dtype="double") for _ in range(topo.in_arms)]
+    cots = [rng.uniform((2, 1, 8, 8), -1, 1, dtype="double") for _ in range(topo.out_arms)]
+    return model, params, state, inputs, cots
+
+
+@pytest.mark.parametrize("kind", ["siso", "mimo"])
+def test_gradients_on_a_warm_workspace_are_a_fresh_models_bits(kind):
+    model, params, state, inputs, cots = _warm_workspace_filled_with_nan(kind)
+    fresh = SynNetModel(model.topology)
+    _, trace = fresh.forward(params, dict(state), inputs, mode="train")
+    want = fresh.backward(params, trace, cots)
+    _, trace = model.forward(params, dict(state), inputs, mode="train")
+    got = model.backward(params, trace, cots)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_gradients_on_a_warm_workspace_match_finite_differences():
+    from synnet.verify import model_gradcheck
+    model, params, state, inputs, cots = _warm_workspace_filled_with_nan("siso")
+    errors = model_gradcheck(model, params, state, inputs, cots)
+    assert max(errors.values()) <= 1e-5, errors
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +552,24 @@ def test_second_infer_forward_reuses_the_threads_scratch():
     first, second = _in_thread(twice)
     assert first is not None and first[1] > 0
     assert second == first
+
+
+def test_training_takes_no_chunk_arrays_from_the_threads_scratch():
+    # a train step's correlations take their chunk arrays from the model's
+    # workspace, so the thread's scratch is never made
+    from synnet import optim
+    topo = _tiny("mimo", channels=(8, 16))
+    model, params, state = build_model(topo, RngStream(32))
+    cfg = _train_cfg(4)
+    cfg.epochs = 1
+
+    def step():
+        optim.train(model, params, state, _pairs(topo, 4, 16, 33), cfg,
+                    optim.OptimState(lr=0.005))
+        return _scratch_buffer(), model.workspace.nbytes
+
+    scratch, held = _in_thread(step)
+    assert scratch is None and held > 0
 
 
 def test_concurrent_infer_forwards_give_the_sequential_bits():

@@ -265,6 +265,16 @@ def test_checkpoint_error_starts_with_its_path(tmp_path):
     assert str(exc.value) == f"{path}: truncated checkpoint while reading version"
 
 
+def test_checkpoint_with_trailing_bytes_fails_by_their_count(tmp_path):
+    path = str(tmp_path / "t")
+    save_checkpoint(path, _ckpt("single"))
+    with open(path, "ab") as f:
+        f.write(bytes(9))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: 9 trailing bytes after the config text"
+
+
 def test_checkpoint_truncation_names_missing_field(tmp_path):
     path = str(tmp_path / "t")
     save_checkpoint(path, _ckpt("single"))
