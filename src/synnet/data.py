@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import RngStream, ShapeError, ParameterError, write_file
-from .loss import _SOBEL_X, _SOBEL_Y
+from .loss import _correlate_padded, _sobel_padded
 
 MODALITIES = ("m1", "m2", "m3", "m4")
 PHANTOM_MIN_SIZE = 16
@@ -52,45 +52,6 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 # phantom generation
 # ---------------------------------------------------------------------------
-
-def _taps(kernel):
-    """The nonzero taps (u, v, weight) of a 3x3 kernel, in row-major order."""
-    return tuple((u, v, float(kernel[u, v])) for u, v in zip(*np.nonzero(kernel)))
-
-
-_SOBEL_TAPS = (_taps(_SOBEL_X), _taps(_SOBEL_Y))
-_BOX_TAPS = _taps(np.ones((3, 3)))
-
-
-def _correlate_flat(xp, taps):
-    """The 3x3 correlation of `loss._correlate3x3` for one image, on its
-    reflect-padded (h + 2, w + 2) copy xp and with the kernel given as its
-    `_taps`; the same bits, on the same NumPy and CPU.
-
-    Returns an array of xp's shape whose [:h, :w] corner is the result; the
-    last two rows and columns are junk. Over xp flattened, the window of tap
-    (u, v) is the contiguous run that starts u * (w + 2) + v elements in, so
-    each tap is one pass over one run into kept buffers. A tap of weight 1
-    or -1 is added or subtracted without its multiply, which IEEE
-    arithmetic makes exact (1 * x == x, a + (-1 * x) == a - x). The loss
-    keeps its batch form, which allocates a strided product per tap: forms
-    of the training step's Sobel that allocate less moved the paper
-    workload's peak RSS into a mode 17 MB higher."""
-    wp = xp.shape[1]
-    flat = xp.reshape(-1)
-    out = np.zeros(flat.size, dtype=np.float64)
-    span = flat.size - 2 * wp - 2
-    acc, tap = out[:span], np.empty(span)
-    for u, v, k in taps:
-        window = flat[u * wp + v:u * wp + v + span]
-        if k == 1.0:
-            acc += window
-        elif k == -1.0:
-            acc -= window
-        else:
-            acc += np.multiply(k, window, out=tap)
-    return out.reshape(xp.shape)
-
 
 def _shape_terms(rng, low, high, h, w, radius, amp, term):
     """Draw low..high-1 shapes, five values each in one call, and return
@@ -128,8 +89,10 @@ def generate_phantom(seed: int, h: int, w: int, sample_id: str = None) -> Phanto
     memory is a few h x w arrays whatever the blob count. An ellipse's
     terms are joined the same way. All blobs' draws, then all ellipses',
     come from one call each, which PCG64 makes the same stream as one call
-    per value. The Sobel pair and the box blur run through one padded
-    buffer, inverted in place between them (1 - pad(base) is pad(1 - base)).
+    per value. The edge magnitude and the box blur are the loss's 3x3
+    stencil (`loss._sobel_padded`, `loss._correlate_padded`), with the same
+    bits as `loss.sobel_magnitude`, on one copy of base with a reflected
+    border, inverted in place between them (1 - pad(base) is pad(1 - base)).
     """
     if min(h, w) < PHANTOM_MIN_SIZE:
         raise ParameterError(f"phantom size must be >= {PHANTOM_MIN_SIZE}, got {h}x{w}")
@@ -163,18 +126,13 @@ def generate_phantom(seed: int, h: int, w: int, sample_id: str = None) -> Phanto
     xp[1:-1, 1:-1] = base
     xp[0, 1:-1], xp[-1, 1:-1] = base[1], base[-2]
     xp[:, 0], xp[:, -1] = xp[:, 2], xp[:, -3]
-    gx, gy = (_correlate_flat(xp, taps) for taps in _SOBEL_TAPS)
-    gx *= gx
-    gy *= gy
-    gx += gy
-    edges = np.sqrt(gx[:h, :w])
-    del gx, gy
+    edges = _sobel_padded(xp)
     peak = edges.max()
     if peak > 0:
         edges /= peak
     edges *= 0.5
     edges += base
-    box = _correlate_flat(np.subtract(1.0, xp, out=xp), _BOX_TAPS)
+    box = _correlate_padded(np.subtract(1.0, xp, out=xp), np.ones((3, 3)))
     mods = {
         "m1": base,
         "m2": box[:h, :w] / 9.0,

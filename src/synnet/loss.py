@@ -12,6 +12,10 @@ filtered as R @ a @ C.T with (h, h) and (w, w) band matrices R and C (the
 reflect padding folded into the bands); global mode is the mean over each
 image's (c, h, w), broadcast back, and is its own adjoint.
 
+The edge weight map's Sobel pair goes through one 3x3 stencil over images
+padded by one on each side (`_correlate_padded`), which the phantoms of
+`data` share for their edge and box-blur modalities.
+
 All image losses are normalized by N*P (images times pixels per image) so
 the default relative weights are independent of image size; the TV term is
 normalized by N only. Every gradient here is validated against central
@@ -73,7 +77,7 @@ class LossReport:
     wd_term: float
     total: float
     pred_grads: list            # one tensor per prediction head
-    wd_grads: dict              # name -> gradient (unscaled by lambda4)
+    wd_grads: dict              # name -> the weight itself, its gradient unscaled by lambda4
 
 
 def _check_pair(pred, target, weights=None):
@@ -130,36 +134,61 @@ _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
 _SOBEL_Y = _SOBEL_X.T
 
 
-def _correlate3x3(img4, kernel):
-    """Reflect-padded 3x3 correlation over the spatial axes, in float64.
+def _correlate_padded(xp, kernel):
+    """The 3x3 correlation of float64 images padded by one on each side.
 
-    Each nonzero tap kernel[u, v] * window is added to a zero accumulator in
-    row-major order, so a pixel's value is the same float operations in the
-    same order whatever the batch: the same bits, on the same NumPy and
-    CPU."""
-    xp = np.pad(img4, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
-    h, w = img4.shape[2], img4.shape[3]
-    out = np.zeros_like(img4, dtype=np.float64)
-    for u in range(3):
-        for v in range(3):
-            if kernel[u, v]:
-                out += kernel[u, v] * xp[:, :, u:u + h, v:v + w]
+    xp is (..., h + 2, w + 2). Returns a float64 array of xp's shape whose
+    [..., :h, :w] corner is the result; each image's last two rows and
+    columns are junk. Over xp flattened, the window of tap (u, v) is the
+    contiguous run that starts u * (w + 2) + v elements in, and an image's
+    valid outputs read only its own padded rows, so each tap is one pass
+    over one run, whatever the leading axes. The nonzero taps are added to a
+    zero accumulator in row-major order, one of weight 1 or -1 without its
+    multiply, which IEEE arithmetic makes exact (1 * x == x,
+    a + (-1 * x) == a - x): a pixel's value is the same float operations in
+    the same order whatever the batch, so the same bits on the same NumPy
+    and CPU."""
+    wp = xp.shape[-1]
+    flat = xp.reshape(-1)
+    out = np.zeros(xp.shape)
+    span = flat.size - 2 * wp - 2
+    acc, tap = out.reshape(-1)[:span], np.empty(span)
+    for u, row in enumerate(kernel.tolist()):
+        for v, k in enumerate(row):
+            window = flat[u * wp + v:u * wp + v + span]
+            if k == 1.0:
+                acc += window
+            elif k == -1.0:
+                acc -= window
+            elif k:
+                acc += np.multiply(k, window, out=tap)
     return out
 
 
+def _sobel_padded(xp):
+    """Sobel gradient magnitude of float64 images padded by one on each
+    side, (..., h, w): the pair of `_correlate_padded`, squared and summed in
+    place."""
+    gx = _correlate_padded(xp, _SOBEL_X)
+    gy = _correlate_padded(xp, _SOBEL_Y)
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.sqrt(gx[..., :-2, :-2])
+
+
 def sobel_magnitude(img4):
-    """Per-pixel Sobel gradient magnitude (reflect borders)."""
-    gx = _correlate3x3(img4, _SOBEL_X)
-    gy = _correlate3x3(img4, _SOBEL_Y)
-    return np.sqrt(gx * gx + gy * gy)
+    """Per-pixel Sobel gradient magnitude (reflect borders), in float64."""
+    return _sobel_padded(np.pad(img4.astype(np.float64, copy=False),
+                                ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect"))
 
 
 def edge_weight_map(target, beta=4.0):
     """Per-pixel weights 1 + beta * E, E the max-normalized Sobel magnitude
     of the ground-truth target (E = 0 for a constant image)."""
     check_tensor(target, "target")
-    if beta < 0:
-        raise ParameterError("beta must be >= 0")
+    if not beta >= 0:
+        raise ParameterError(f"beta must be >= 0, got {beta!r}")
     intensity = target.mean(axis=1, keepdims=True).astype(np.float64)
     e = sobel_magnitude(intensity)
     peak = e.max(axis=(1, 2, 3), keepdims=True)
@@ -265,8 +294,8 @@ def tv_loss(pred, eps=1e-8):
     column are excluded. eps smooths the sqrt kink.
     """
     check_tensor(pred, "pred")
-    if eps < 0:
-        raise ParameterError("eps must be >= 0")
+    if not eps >= 0:
+        raise ParameterError(f"eps must be >= 0, got {eps!r}")
     n, c, h, w = pred.shape
     t = np.empty((n, c, h - 1, w - 1))
     grad = np.empty(pred.shape, dtype=pred.dtype)
@@ -292,14 +321,17 @@ def tv_loss(pred, eps=1e-8):
 # ---------------------------------------------------------------------------
 
 def weight_decay(params):
-    """0.5 * sum of squares over convolution weights only; grad = w."""
+    """0.5 * sum of squares over convolution weights only; grad = w.
+
+    Each gradient is the weight array itself, not a copy: callers must not
+    write into it."""
     total = 0.0
     grads = {}
     for name, w in params.items():
         if name.endswith(".conv.weight"):
             w64 = w.astype(np.float64)
             total += 0.5 * float(np.sum(w64 * w64))
-            grads[name] = w.copy()
+            grads[name] = w
     return total, grads
 
 
@@ -311,7 +343,8 @@ def joint_loss(preds, targets, params, weights: LossWeights, cfg: SsimConfig,
     optional list of per-head edge weight maps. An SSIM or TV term weighted
     0 is not computed and reports 0, so weights (1, 0, 0, lambda4) give the
     plain (or, with maps, edge-weighted) L2 loss. Weight-decay gradients
-    are returned unscaled (they act on the parameters, not the predictions).
+    are returned unscaled (they act on the parameters, not the predictions),
+    as the weight arrays themselves, which callers must not write into.
     """
     if len(preds) != len(targets) or not preds:
         raise ParameterError("preds and targets must be nonempty equal-length lists")

@@ -28,8 +28,8 @@ def psnr(pred, target, max_value=1.0):
     check_tensor(target, "target")
     if pred.shape != target.shape:
         raise ShapeError(f"pred {pred.shape} != target {target.shape}")
-    if max_value <= 0:
-        raise ParameterError("max_value must be > 0")
+    if not max_value > 0:
+        raise ParameterError(f"max_value must be > 0, got {max_value!r}")
     diff = pred.astype(np.float64) - target.astype(np.float64)
     mse = float(np.mean(diff * diff))
     if mse == 0.0:

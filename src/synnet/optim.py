@@ -133,8 +133,8 @@ def train(model, params, state, dataset, cfg: TrainConfig,
             if not np.isfinite(report.total):
                 raise TrainingDivergedError(f"non-finite loss {where}")
             grads = model.backward(params, trace, report.pred_grads)
-            for name, g in report.wd_grads.items():
-                grads[name] = grads[name] + (weights.lambda4 * g).astype(grads[name].dtype)
+            for name, g in report.wd_grads.items():     # the backward's own fresh arrays
+                grads[name] += weights.lambda4 * g
             sgd_step(params, grads, opt_state)
             history.append({
                 "iter": opt_state.iteration, "epoch": epoch,

@@ -10,7 +10,6 @@ minutes on one CPU core.
 import time
 
 import numpy as np
-import pytest
 
 from synnet import data as data_mod
 from synnet import metrics, optim, persist, verify

@@ -13,6 +13,8 @@ from synnet.data import (MODALITIES, canonical_modality, generate_phantom,
                          training_pairs)
 from synnet.tensor import RngStream, ShapeError, ParameterError
 
+from stencil_oracle import _oracle_correlate3x3, _oracle_sobel_magnitude
+
 
 # ---------------------------------------------------------------------------
 # modalities and phantoms
@@ -60,28 +62,10 @@ def test_phantom_rejects_tiny_sizes():
         generate_phantom(0, 8, 32)
 
 
-# The full-grid phantom and np.pad stencil that generate_phantom replaced,
-# kept verbatim as the oracle of its bit-identity contract. NumPy's SIMD exp
-# may round differently on another CPU, so the tests compare against this
-# oracle run here, never against stored digests.
-
-def _oracle_correlate3x3(img4, kernel):
-    xp = np.pad(img4, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
-    h, w = img4.shape[2], img4.shape[3]
-    out = np.zeros_like(img4, dtype=np.float64)
-    for u in range(3):
-        for v in range(3):
-            if kernel[u, v]:
-                out += kernel[u, v] * xp[:, :, u:u + h, v:v + w]
-    return out
-
-
-def _oracle_sobel_magnitude(img4):
-    sobel_x = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
-    gx = _oracle_correlate3x3(img4, sobel_x)
-    gy = _oracle_correlate3x3(img4, sobel_x.T)
-    return np.sqrt(gx * gx + gy * gy)
-
+# The full-grid phantom that generate_phantom replaced, on the np.pad stencil
+# of `stencil_oracle`, kept verbatim as the oracle of its bit-identity
+# contract. NumPy's SIMD exp may round differently on another CPU, so the
+# tests compare against this oracle run here, never against stored digests.
 
 def _oracle_phantom(seed, h, w):
     rng = RngStream(seed)

@@ -1,12 +1,14 @@
-"""Every module-level import in the package is used, and every module-level
-private helper is read somewhere in the package (no linter is installed)."""
+"""Every module-level import in the package and its tests is used, and every
+module-level private helper is read somewhere in the package (no linter is
+installed)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "synnet"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "synnet"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,6 +45,11 @@ def test_detector_flags_unused_and_passes_used():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_level_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
 
 

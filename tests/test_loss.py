@@ -6,8 +6,11 @@ from synnet import loss as loss_mod
 from synnet.loss import (LossWeights, SsimConfig, l2_loss, edge_weight_map,
                          sobel_magnitude, ssim_loss, tv_loss,
                          weight_decay, joint_loss)
+from synnet.metrics import psnr
 from synnet.tensor import RngStream, ShapeError, ParameterError
 from synnet.verify import finite_diff, max_rel_err
+
+from stencil_oracle import _oracle_sobel_magnitude
 
 
 def _img(rows):
@@ -102,27 +105,9 @@ def test_sobel_magnitude_zero_inside_flat_region():
     assert np.allclose(sobel_magnitude(img), 0.0)
 
 
-# The np.pad stencil, Sobel magnitude and edge weight map that the sliced
-# reflect border and in-place taps replaced, kept verbatim as the oracle of
-# their bit-identity contract (compared here, never against stored digests).
-
-def _oracle_correlate3x3(img4, kernel):
-    xp = np.pad(img4, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
-    h, w = img4.shape[2], img4.shape[3]
-    out = np.zeros_like(img4, dtype=np.float64)
-    for u in range(3):
-        for v in range(3):
-            if kernel[u, v]:
-                out += kernel[u, v] * xp[:, :, u:u + h, v:v + w]
-    return out
-
-
-def _oracle_sobel_magnitude(img4):
-    sobel_x = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
-    gx = _oracle_correlate3x3(img4, sobel_x)
-    gy = _oracle_correlate3x3(img4, sobel_x.T)
-    return np.sqrt(gx * gx + gy * gy)
-
+# The edge weight map on the np.pad stencil of `stencil_oracle`, kept
+# verbatim as the oracle of `edge_weight_map`'s bit-identity contract
+# (compared here, never against stored digests).
 
 def _oracle_edge_weight_map(target, beta=4.0):
     intensity = target.mean(axis=1, keepdims=True).astype(np.float64)
@@ -326,6 +311,16 @@ def test_joint_loss_validates_heads():
         joint_loss([], [], {}, lw, cfg)
     with pytest.raises(ParameterError):
         joint_loss([x], [x], {}, lw, cfg, maps=[None, None])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: edge_weight_map(np.zeros((1, 1, 4, 4)), beta=float("nan")),
+    lambda: tv_loss(np.zeros((1, 1, 4, 4)), eps=float("nan")),
+    lambda: psnr(np.zeros((1, 1, 4, 4)), np.ones((1, 1, 4, 4)), max_value=float("nan")),
+], ids=["edge_weight_map-beta", "tv_loss-eps", "psnr-max_value"])
+def test_nan_parameter_fails_by_name(call):
+    with pytest.raises(ParameterError, match="nan"):
+        call()
 
 
 def test_loss_weights_reject_negative():

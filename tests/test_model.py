@@ -376,8 +376,10 @@ def test_paper_scale_training_step_peak_memory():
     # rebuilding the decoder and head conv inputs in the backward instead of
     # keeping them on the tape, and writing each conv output chunk by chunk,
     # to 4.1.  Writing each 3x3 conv's input gradient over its input, with
-    # an L2-sized stack on top, took it to 4.3.  The workspace reads 4.44:
-    # 3.92 held and 0.52 traced, most of it the optimizer's and the loss's.
+    # an L2-sized stack on top, took it to 4.3.  The workspace read 4.44:
+    # 3.92 held and 0.52 traced, most of it the optimizer's and the loss's;
+    # weight decay that returns the weights, not copies, took it to 4.35
+    # (0.42 traced).
     import tracemalloc
     from synnet import optim
     from synnet.loss import LossWeights

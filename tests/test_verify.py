@@ -5,7 +5,6 @@ from synnet.layers import (conv2d_forward, maxpool2x2_forward, maxpool2x2_backwa
                            unpool2x2_forward, unpool2x2_backward)
 from synnet import loss as loss_mod
 from synnet.loss import SsimConfig
-from synnet.metrics import ssim_standard
 from synnet.tensor import RngStream, ParameterError
 from synnet.verify import (conv_oracle, maxpool_oracle, ssim_standard_oracle,
                            ssim_map_oracle, unpool_oracle, unpool_grad_oracle,
