@@ -82,6 +82,8 @@ def cmd_gen_data(args) -> int:
     h, w = _parse_size(args.size)
     if args.count < 1:
         raise ParameterError(f"--count: must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed: must be >= 0, got {args.seed}")
     if min(h, w) < data.PHANTOM_MIN_SIZE:
         raise ParameterError(f"--size: phantom size must be >= {data.PHANTOM_MIN_SIZE}, "
                              f"got {h}x{w}")
@@ -169,6 +171,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ParameterError(f"--seed: must be >= 0, got {args.seed}")
     results = verify.gradcheck_suite(args.seed)
     print(verify.format_report(results))
     return 0 if all(r.passed for r in results) else 1

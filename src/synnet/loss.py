@@ -1,9 +1,10 @@
-"""Training cost terms with analytic gradients w.r.t. the prediction.
+"""The training loss, with analytic gradients w.r.t. the prediction.
 
 Terms: (optionally edge-weighted) mean squared error, the two-factor
 luminance-times-contrast SSIM loss, total-variation smoothing, and an L2
-weight-decay penalty over convolution weights. `joint_loss` combines them
-with the four relative weights.
+weight-decay penalty over convolution weights. `joint_loss` is their one
+implementation: it forms every image term of a head in one loop over
+chunks of images, and combines them with the four relative weights.
 
 The SSIM statistics go through one linear window operator, and its
 gradient through that operator's adjoint. `SsimConfig.mode` picks the
@@ -16,10 +17,10 @@ The edge weight map's Sobel pair goes through one 3x3 stencil over images
 padded by one on each side (`_correlate_padded`), which the phantoms of
 `data` share for their edge and box-blur modalities.
 
-All image losses are normalized by N*P (images times pixels per image) so
-the default relative weights are independent of image size; the TV term is
-normalized by N only. Every gradient here is validated against central
-finite differences by the verification suite.
+The L2 and SSIM losses are normalized by N*P (images times pixels per
+image) so the default relative weights are independent of image size; the
+TV term is normalized by N only. Every gradient here is validated against
+central finite differences by the verification suite.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, ParameterError, check_tensor
+from .tensor import ShapeError, ParameterError, check_at_least, check_tensor
 
 
 @dataclass
@@ -42,8 +43,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            if not getattr(self, name) >= 0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            check_at_least(name, getattr(self, name), 0)
 
 
 SSIM_MODES = ("local", "global")
@@ -80,22 +80,8 @@ class LossReport:
     wd_grads: dict              # name -> the weight itself, its gradient unscaled by lambda4
 
 
-def _check_pair(pred, target, weights=None):
-    check_tensor(pred, "pred")
-    check_tensor(target, "target")
-    if pred.shape != target.shape:
-        raise ShapeError(f"pred {pred.shape} != target {target.shape}")
-    if weights is not None:
-        n, _, h, w = pred.shape
-        if weights.shape != (n, 1, h, w):
-            raise ShapeError(
-                f"weight map shape {weights.shape} != ({n},1,{h},{w})")
-        if np.any(weights < 0):
-            raise ParameterError("weight map must be nonnegative")
-
-
-# bytes of one float64 map over a chunk of images: SSIM and TV keep about
-# twenty such maps live at once, so their temporaries fit in L2 at any batch
+# bytes of one float64 map over a chunk of images: the loss keeps about
+# twenty such maps live at once, so its temporaries fit in L2 at any batch
 _CHUNK_BYTES = 32 << 10
 
 
@@ -104,26 +90,6 @@ def _image_chunks(shape):
     float64 map of _CHUNK_BYTES, and at least one."""
     step = max(1, _CHUNK_BYTES // (math.prod(shape[1:]) * 8))
     return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
-
-
-# ---------------------------------------------------------------------------
-# L2
-# ---------------------------------------------------------------------------
-
-def l2_loss(pred, target, weights=None):
-    """Mean squared error, optionally weighted per pixel.
-
-    loss = (1/(N*P)) * sum_n sum_x w(x) * (target - pred)^2
-    grad = (2/(N*P)) * w(x) * (pred - target)
-    """
-    _check_pair(pred, target, weights)
-    n = pred.shape[0]
-    p = pred[0].size
-    diff = pred.astype(np.float64) - target.astype(np.float64)
-    w = 1.0 if weights is None else weights
-    loss = float(np.sum(w * diff * diff) / (n * p))
-    grad = (2.0 / (n * p)) * (w * diff)
-    return loss, grad.astype(pred.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +149,11 @@ def sobel_magnitude(img4):
                                 ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect"))
 
 
-def edge_weight_map(target, beta=4.0):
+def edge_weight_map(target, beta):
     """Per-pixel weights 1 + beta * E, E the max-normalized Sobel magnitude
     of the ground-truth target (E = 0 for a constant image)."""
     check_tensor(target, "target")
-    if not beta >= 0:
-        raise ParameterError(f"beta must be >= 0, got {beta!r}")
+    check_at_least("beta", beta, 0)
     intensity = target.mean(axis=1, keepdims=True).astype(np.float64)
     e = sobel_magnitude(intensity)
     peak = e.max(axis=(1, 2, 3), keepdims=True)
@@ -246,74 +211,53 @@ def _ssim_stats(x, y, filt):
     return mux, muy, vy, sx, sy, lum, con
 
 
-def ssim_loss(pred, target, cfg: SsimConfig, weights=None):
-    """Mean (optionally weighted) of 1 - Q, with the analytic gradient.
+def _ssim_terms(x, y, w, norm, window, out):
+    """Writes the per-pixel terms w * (1 - Q) of a chunk of target x and
+    prediction y into `out`, and returns the gradient of their sum / norm
+    with respect to y.
 
     The gradient applies the product rule through both factors and through
     the window mean and standard deviation of the prediction, then maps the
     coefficients of the window mean of y and of y^2 back through the
     window's adjoint.
-
-    Both windows act on each image alone, so the terms are formed a chunk
-    of images at a time, by the same float ops as over the whole batch; the
-    per-pixel terms are summed once, over the whole batch.
     """
-    _check_pair(pred, target, weights)
-    n = pred.shape[0]
-    p = pred[0].size
-    filt, adjoint = _window(pred.shape, cfg)
-    per_pixel = np.empty(pred.shape)            # w * (1 - Q)
-    grad = np.empty(pred.shape, dtype=pred.dtype)
-    for sl in _image_chunks(pred.shape):
-        y = pred[sl].astype(np.float64)
-        mux, muy, vy, sx, sy, lum, con = _ssim_stats(target[sl].astype(np.float64), y, filt)
-        q = lum * con
-        w = 1.0 if weights is None else weights[sl].astype(np.float64)
-        np.multiply(w, 1.0 - q, out=per_pixel[sl])
-
-        dl_dmuy = (2 * mux - lum * 2 * muy) / (mux * mux + muy * muy + C1)
-        dc_dsy = (2 * sx - con * 2 * sy) / (sx * sx + sy * sy + C2)
-        dsy_dvy = np.where(vy > 0, 0.5 / sy, 0.0)
-        g = -(w * np.ones_like(q)) / (n * p)
-        coef_mu = g * (con * dl_dmuy + lum * dc_dsy * dsy_dvy * (-2 * muy))
-        coef_m2 = g * (lum * dc_dsy * dsy_dvy)
-        g_mu, g_m2 = adjoint(np.stack([coef_mu, coef_m2]))
-        grad[sl] = g_mu + g_m2 * (2 * y)
-    return float(np.sum(per_pixel) / (n * p)), grad
+    filt, adjoint = window
+    mux, muy, vy, sx, sy, lum, con = _ssim_stats(x, y, filt)
+    q = lum * con
+    np.multiply(w, 1.0 - q, out=out)
+    dl_dmuy = (2 * mux - lum * 2 * muy) / (mux * mux + muy * muy + C1)
+    dc_dsy = (2 * sx - con * 2 * sy) / (sx * sx + sy * sy + C2)
+    dsy_dvy = np.where(vy > 0, 0.5 / sy, 0.0)
+    g = -(w * np.ones_like(q)) / norm
+    coef_mu = g * (con * dl_dmuy + lum * dc_dsy * dsy_dvy * (-2 * muy))
+    coef_m2 = g * (lum * dc_dsy * dsy_dvy)
+    g_mu, g_m2 = adjoint(np.stack([coef_mu, coef_m2]))
+    return g_mu + g_m2 * (2 * y)
 
 
 # ---------------------------------------------------------------------------
 # total variation
 # ---------------------------------------------------------------------------
 
-def tv_loss(pred, eps=1e-8):
-    """Isotropic total variation with one-sided forward differences.
+def _tv_terms(y, eps, n, out):
+    """Writes the isotropic total-variation terms sqrt(p^2 + q^2 + eps) of a
+    chunk of predictions y into `out`, and returns the gradient of their
+    sum / n with respect to y.
 
-    loss = (1/N) * sum over valid (i, j) of sqrt(p^2 + q^2 + eps) with
-    p, q the vertical/horizontal forward differences; the last row and
-    column are excluded. eps smooths the sqrt kink.
+    p, q are the vertical/horizontal one-sided forward differences, so the
+    last row and column have no term of their own; eps smooths the sqrt
+    kink.
     """
-    check_tensor(pred, "pred")
-    if not eps >= 0:
-        raise ParameterError(f"eps must be >= 0, got {eps!r}")
-    n, c, h, w = pred.shape
-    t = np.empty((n, c, h - 1, w - 1))
-    grad = np.empty(pred.shape, dtype=pred.dtype)
-    # each image's terms alone, a chunk of images at a time; t is summed
-    # once, over the whole batch
-    for sl in _image_chunks(pred.shape):
-        y = pred[sl].astype(np.float64)
-        p = y[:, :, 1:, :-1] - y[:, :, :-1, :-1]
-        q = y[:, :, :-1, 1:] - y[:, :, :-1, :-1]
-        ts = np.sqrt(p * p + q * q + eps, out=t[sl])
-        g = np.zeros_like(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(ts > 0, 1.0 / ts, 0.0)
-        g[:, :, :-1, :-1] += (-p - q) * inv
-        g[:, :, 1:, :-1] += p * inv
-        g[:, :, :-1, 1:] += q * inv
-        grad[sl] = g / n
-    return float(t.sum() / n), grad
+    p = y[:, :, 1:, :-1] - y[:, :, :-1, :-1]
+    q = y[:, :, :-1, 1:] - y[:, :, :-1, :-1]
+    ts = np.sqrt(p * p + q * q + eps, out=out)
+    g = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(ts > 0, 1.0 / ts, 0.0)
+    g[:, :, :-1, :-1] += (-p - q) * inv
+    g[:, :, 1:, :-1] += p * inv
+    g[:, :, :-1, 1:] += q * inv
+    return g / n
 
 
 # ---------------------------------------------------------------------------
@@ -335,39 +279,72 @@ def weight_decay(params):
     return total, grads
 
 
-def joint_loss(preds, targets, params, weights: LossWeights, cfg: SsimConfig,
-               maps=None, tv_eps=1e-8) -> LossReport:
-    """Weighted combination of all terms over one or two prediction heads.
+def _rounded(g, dtype):
+    """A term's float64 gradient rounded to the prediction's dtype, as float64."""
+    return g.astype(dtype, copy=False).astype(np.float64, copy=False)
 
-    Per-head L2 / SSIM / TV values are averaged across heads; `maps` is an
-    optional list of per-head edge weight maps. An SSIM or TV term weighted
-    0 is not computed and reports 0, so weights (1, 0, 0, lambda4) give the
-    plain (or, with maps, edge-weighted) L2 loss. Weight-decay gradients
-    are returned unscaled (they act on the parameters, not the predictions),
-    as the weight arrays themselves, which callers must not write into.
+
+def joint_loss(preds, targets, params, weights: LossWeights, cfg: SsimConfig,
+               edge_beta, tv_eps) -> LossReport:
+    """The training loss over one or two prediction heads, with its gradients.
+
+    With N images of P pixels, prediction y, target x and pixel weights w:
+        L2   = (1/(N*P)) * sum w * (y - x)^2
+        SSIM = (1/(N*P)) * sum w * (1 - Q)
+        TV   = (1/N) * sum sqrt(p^2 + q^2 + eps)        (see `_tv_terms`)
+    w is `edge_weight_map(target, edge_beta)`, or 1 if edge_beta is None.
+
+    Each head runs one loop over chunks of its images (`_image_chunks`).
+    Each chunk forms its per-pixel L2, SSIM and TV terms and writes the
+    head's weighted gradient into its slice of the head's gradient array;
+    each term's gradient is rounded to the prediction's dtype before it is
+    weighted. Every window acts on each image alone, and each per-pixel map
+    is summed once, over the whole batch, so no value depends on the chunk
+    size. Per-head values are averaged across heads. An SSIM or TV term
+    weighted 0 is not computed and reports 0, so weights (1, 0, 0, lambda4)
+    give the plain (or edge-weighted) L2 loss. Weight-decay gradients are
+    returned unscaled (they act on the parameters, not the predictions), as
+    the weight arrays themselves, which callers must not write into.
     """
     if len(preds) != len(targets) or not preds:
         raise ParameterError("preds and targets must be nonempty equal-length lists")
-    if maps is not None and len(maps) != len(preds):
-        raise ParameterError("one weight map per head required")
+    check_at_least("tv_eps", tv_eps, 0)
     nh = len(preds)
+    wd_term, wd_grads = weight_decay(params)
     l2_term = ssim_term = tv_term = 0.0
     pred_grads = []
-    for h in range(nh):
-        wmap = None if maps is None else maps[h]
-        l2_v, l2_g = l2_loss(preds[h], targets[h], wmap)
-        l2_term += l2_v / nh
-        g = weights.lambda1 * l2_g.astype(np.float64)
+    for pred, target in zip(preds, targets):
+        check_tensor(pred, "pred")
+        check_tensor(target, "target")
+        if pred.shape != target.shape:
+            raise ShapeError(f"pred {pred.shape} != target {target.shape}")
+        n, c, h, w = pred.shape
+        norm = n * c * h * w
+        wmap = None if edge_beta is None else edge_weight_map(target, edge_beta)
+        window = _window(pred.shape, cfg) if weights.lambda2 else None
+        l2_px, ssim_px = np.empty(pred.shape), np.empty(pred.shape)
+        tv_px = np.empty((n, c, h - 1, w - 1))
+        grad = np.empty(pred.shape, dtype=pred.dtype)
+        for sl in _image_chunks(pred.shape):
+            x, y = target[sl].astype(np.float64), pred[sl].astype(np.float64)
+            px_w = 1.0 if wmap is None else wmap[sl]
+            diff = y - x
+            wdiff = px_w * diff
+            np.multiply(wdiff, diff, out=l2_px[sl])
+            g = weights.lambda1 * _rounded((2.0 / norm) * wdiff, pred.dtype)
+            if weights.lambda2:
+                g += weights.lambda2 * _rounded(
+                    _ssim_terms(x, y, px_w, norm, window, ssim_px[sl]), pred.dtype)
+            if weights.lambda3:
+                g += weights.lambda3 * _rounded(
+                    _tv_terms(y, tv_eps, n, tv_px[sl]), pred.dtype)
+            grad[sl] = g / nh
+        l2_term += float(np.sum(l2_px) / norm) / nh
         if weights.lambda2:
-            ss_v, ss_g = ssim_loss(preds[h], targets[h], cfg, wmap)
-            ssim_term += ss_v / nh
-            g += weights.lambda2 * ss_g.astype(np.float64)
+            ssim_term += float(np.sum(ssim_px) / norm) / nh
         if weights.lambda3:
-            tv_v, tv_g = tv_loss(preds[h], tv_eps)
-            tv_term += tv_v / nh
-            g += weights.lambda3 * tv_g.astype(np.float64)
-        pred_grads.append((g / nh).astype(preds[h].dtype))
-    wd_term, wd_grads = weight_decay(params)
+            tv_term += float(tv_px.sum() / n) / nh
+        pred_grads.append(grad)
     total = (weights.lambda1 * l2_term + weights.lambda2 * ssim_term
              + weights.lambda3 * tv_term + weights.lambda4 * wd_term)
     return LossReport(l2_term, ssim_term, tv_term, wd_term, total,

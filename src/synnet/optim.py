@@ -23,7 +23,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from .loss import LossWeights, SsimConfig
-from .tensor import RngStream, ParameterError, UsageError
+from .tensor import RngStream, ParameterError, UsageError, check_at_least
 
 LOSS_KINDS = ("l2", "weighted_l2", "joint")
 
@@ -44,6 +44,8 @@ class OptimState:
     def __post_init__(self):
         if not self.lr > 0:
             raise ParameterError(f"lr must be > 0, got {self.lr!r}")
+        if self.lr == float("inf"):
+            raise ParameterError(f"lr must be finite, got {self.lr!r}")
         if not 0 <= self.momentum < 1:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum!r}")
 
@@ -61,16 +63,18 @@ class TrainConfig:
     tv_eps: float = 1e-8
 
     def __post_init__(self):
-        for name, low in (("batch_size", 1), ("epochs", 1), ("edge_beta", 0), ("tv_eps", 0)):
-            if not getattr(self, name) >= low:
-                raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0), ("edge_beta", 0),
+                          ("tv_eps", 0)):
+            check_at_least(name, getattr(self, name), low)
         if self.loss not in LOSS_KINDS:
             raise ParameterError(f"loss must be one of {', '.join(LOSS_KINDS)}, "
                                  f"got {self.loss!r}")
 
 
 def sgd_step(params, grads, state: OptimState):
-    """One momentum update over every parameter; mutates params and state."""
+    """One momentum update over every parameter, in place: the caller's
+    parameter arrays and the state's velocity arrays change, and no new
+    array is made for either."""
     if not state.velocity:
         state.velocity = {n: np.zeros_like(p) for n, p in params.items()}
     for name, p in params.items():
@@ -78,9 +82,9 @@ def sgd_step(params, grads, state: OptimState):
         if g.shape != p.shape:
             raise UsageError(f"gradient shape mismatch for {name}: {g.shape} vs {p.shape}")
         v = state.velocity[name]
-        v = state.momentum * v + state.lr * g.astype(v.dtype)
-        state.velocity[name] = v
-        params[name] = (p - v).astype(p.dtype)
+        v *= state.momentum
+        v += state.lr * g.astype(v.dtype, copy=False)
+        p -= v
     state.iteration += 1
     return params, state
 
@@ -126,10 +130,9 @@ def train(model, params, state, dataset, cfg: TrainConfig,
             if not all(np.isfinite(p).all() for p in preds):
                 raise TrainingDivergedError(f"non-finite prediction {where}, first in "
                                             f"{model.nonfinite_layer(trace, preds)}")
-            maps = (None if cfg.loss == "l2" else
-                    [loss_mod.edge_weight_map(t, cfg.edge_beta) for t in targets])
             report = loss_mod.joint_loss(preds, targets, params, weights, cfg.ssim,
-                                         maps=maps, tv_eps=cfg.tv_eps)
+                                         None if cfg.loss == "l2" else cfg.edge_beta,
+                                         cfg.tv_eps)
             if not np.isfinite(report.total):
                 raise TrainingDivergedError(f"non-finite loss {where}")
             grads = model.backward(params, trace, report.pred_grads)

@@ -32,6 +32,14 @@ class UsageError(RuntimeError):
     """An API was called in the wrong order or with the wrong arguments."""
 
 
+def check_at_least(name: str, value, low):
+    """Raise ParameterError naming `name` unless value is >= low and finite."""
+    if not value >= low:
+        raise ParameterError(f"{name} must be >= {low}, got {value!r}")
+    if value == float("inf"):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 def check_4d(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     """Assert x is a 4-D array; returns x unchanged."""
     if not isinstance(x, np.ndarray) or x.ndim != 4:

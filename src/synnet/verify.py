@@ -324,27 +324,24 @@ def gradcheck_suite(seed: int = 0, h_step: float = 1e-5):
     check("unpool/input", layers.unpool2x2_backward(offu, cotu),
           finite_diff(lambda v: float((layers.unpool2x2_forward(v, offu) * cotu).sum()), vals.copy(), h_step), 1e-7)
 
-    # L2 loss, plain and weighted
+    # each loss term alone, through joint_loss; the weighted checks weight
+    # each pixel by the target's edge map
     pred = _u(rng, (2, 1, 8, 8), 0.0, 1.0)
     targ = _u(rng, (2, 1, 8, 8), 0.0, 1.0)
-    wmap = 1.0 + np.abs(_u(rng, (2, 1, 8, 8)))
-    check("loss/l2", loss_mod.l2_loss(pred, targ)[1],
-          finite_diff(lambda v: loss_mod.l2_loss(v, targ)[0], pred.copy(), h_step), 1e-7)
-    check("loss/weighted_l2", loss_mod.l2_loss(pred, targ, wmap)[1],
-          finite_diff(lambda v: loss_mod.l2_loss(v, targ, wmap)[0], pred.copy(), h_step), 1e-7)
-
-    # SSIM loss, local and global
-    cfg_local = loss_mod.SsimConfig(mode="local", window=5)
-    cfg_global = loss_mod.SsimConfig(mode="global")
-    check("loss/ssim_local", loss_mod.ssim_loss(pred, targ, cfg_local, wmap)[1],
-          finite_diff(lambda v: loss_mod.ssim_loss(v, targ, cfg_local, wmap)[0], pred.copy(), h_step), 1e-5)
-    check("loss/ssim_global", loss_mod.ssim_loss(pred, targ, cfg_global)[1],
-          finite_diff(lambda v: loss_mod.ssim_loss(v, targ, cfg_global)[0], pred.copy(), h_step), 1e-5)
-
-    # TV away from the sqrt kink
-    xt = _staircase(rng, 2, 1, 6, 6)
-    check("loss/tv", loss_mod.tv_loss(xt, 1e-8)[1],
-          finite_diff(lambda v: loss_mod.tv_loss(v, 1e-8)[0], xt.copy(), h_step), 1e-4)
+    xt = _staircase(rng, 2, 1, 6, 6)        # TV away from the sqrt kink
+    local = loss_mod.SsimConfig(mode="local", window=5)
+    whole = loss_mod.SsimConfig(mode="global")
+    for name, terms, x, t, cfg, edge_beta, tol in (
+            ("loss/l2", (1, 0, 0), pred, targ, whole, None, 1e-7),
+            ("loss/weighted_l2", (1, 0, 0), pred, targ, whole, 4.0, 1e-7),
+            ("loss/ssim_local", (0, 1, 0), pred, targ, local, 4.0, 1e-5),
+            ("loss/ssim_global", (0, 1, 0), pred, targ, whole, None, 1e-5),
+            ("loss/tv", (0, 0, 1), xt, xt, whole, None, 1e-4)):
+        def loss(v):
+            return loss_mod.joint_loss([v], [t], {}, loss_mod.LossWeights(*terms, 0),
+                                       cfg, edge_beta, 1e-8)
+        check(name, loss(x).pred_grads[0],
+              finite_diff(lambda v: loss(v).total, x.copy(), h_step), tol)
 
     # whole models in double, every parameter: fusion, cross-arm skips and
     # both heads; a size that is not a multiple of 2^depth checks the pad

@@ -284,6 +284,15 @@ def test_gen_data_rejects_a_count_below_one_before_writing(tmp_path, capsys, cou
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["gen-data", "--out", "d", "--count", "1", "--size", "16x16"],
+                                  ["gradcheck"]], ids=["gen-data", "gradcheck"])
+def test_a_negative_seed_fails_by_flag_name_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: ParameterError: --seed: must be >= 0, got -1\n"
+    assert not (tmp_path / "d").exists()
+
+
 def test_gen_data_names_the_size_flag_of_a_phantom_below_16(tmp_path, capsys):
     rc = main(["gen-data", "--out", str(tmp_path / "d"), "--count", "1", "--size", "15x16"])
     assert rc == 1

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from synnet import loss as loss_mod
-from synnet.loss import (LossWeights, SsimConfig, l2_loss, edge_weight_map,
-                         sobel_magnitude, ssim_loss, tv_loss,
+from synnet.loss import (LossWeights, SsimConfig, edge_weight_map, sobel_magnitude,
                          weight_decay, joint_loss)
 from synnet.metrics import psnr
 from synnet.tensor import RngStream, ShapeError, ParameterError
@@ -24,6 +23,14 @@ def ssim_map(pred, target, cfg):
     return lum * con
 
 
+def _term(kind, pred, target, cfg=SsimConfig(), edge_beta=None, eps=1e-8):
+    """One term's value and gradient: joint_loss with that term's weight 1
+    and the others' 0."""
+    onehot = [float(kind == k) for k in ("l2", "ssim", "tv")]
+    rep = joint_loss([pred], [target], {}, LossWeights(*onehot, 0.0), cfg, edge_beta, eps)
+    return getattr(rep, f"{kind}_term"), rep.pred_grads[0]
+
+
 # ---------------------------------------------------------------------------
 # L2
 # ---------------------------------------------------------------------------
@@ -31,7 +38,7 @@ def ssim_map(pred, target, cfg):
 def test_l2_single_pixel_error():
     target = _img([[1, 2], [3, 4]])
     pred = _img([[1, 2], [3, 6]])
-    loss, grad = l2_loss(pred, target)
+    loss, grad = _term("l2", pred, target)
     assert loss == pytest.approx(4.0 / 4.0)          # one squared error of 4, P=4
     expect = np.zeros((1, 1, 2, 2))
     expect[0, 0, 1, 1] = 2.0 / 4.0 * 2.0
@@ -40,38 +47,36 @@ def test_l2_single_pixel_error():
 
 def test_l2_zero_on_identical_inputs():
     x = RngStream(1).uniform((2, 1, 4, 4), 0, 1, dtype="double")
-    loss, grad = l2_loss(x, x)
+    loss, grad = _term("l2", x, x)
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
 
-def test_l2_uniform_weight_scales_linearly():
+def test_l2_weights_each_pixel_by_the_target_edge_map():
     rng = RngStream(2)
-    pred = rng.uniform((2, 1, 4, 4), 0, 1, dtype="double")
-    targ = rng.uniform((2, 1, 4, 4), 0, 1, dtype="double")
-    w = np.full((2, 1, 4, 4), 3.0)
-    base, gb = l2_loss(pred, targ)
-    scaled, gs = l2_loss(pred, targ, w)
-    assert scaled == pytest.approx(3.0 * base)
-    assert np.allclose(gs, 3.0 * gb)
+    pred = rng.uniform((2, 2, 6, 6), 0, 1, dtype="double")
+    targ = rng.uniform((2, 2, 6, 6), 0, 1, dtype="double")
+    w = edge_weight_map(targ, 4.0)
+    loss, grad = _term("l2", pred, targ, edge_beta=4.0)
+    assert loss == pytest.approx(np.mean(w * (pred - targ) ** 2))
+    assert np.allclose(grad, 2.0 * w * (pred - targ) / pred.size)
+    # a flat target has no edges, so its weights are all 1
+    flat = np.full_like(targ, 0.3)
+    assert _term("l2", pred, flat, edge_beta=4.0)[0] == _term("l2", pred, flat)[0]
 
 
 def test_l2_batch_normalization_by_images_times_pixels():
     pred = np.zeros((4, 1, 2, 2))
     targ = np.ones((4, 1, 2, 2))
-    loss, _ = l2_loss(pred, targ)
+    loss, _ = _term("l2", pred, targ)
     assert loss == pytest.approx(1.0)                # every pixel error 1
 
 
 def test_l2_rejects_mismatches():
     with pytest.raises(ShapeError):
-        l2_loss(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 3)))
+        _term("l2", np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 3)))
     with pytest.raises(ShapeError):
-        l2_loss(np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2)),
-                np.zeros((1, 2, 2, 2)))
-    with pytest.raises(ParameterError):
-        l2_loss(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2)),
-                np.full((1, 1, 2, 2), -1.0))
+        _term("l2", np.zeros((1, 1, 2, 2)), np.zeros((2, 1, 2, 2)), edge_beta=4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +159,7 @@ def test_ssim_identical_images_score_one():
         cfg = SsimConfig(mode=mode, window=7)
         q = ssim_map(x, x, cfg)
         assert np.allclose(q, 1.0)
-        loss, grad = ssim_loss(x, x, cfg)
+        loss, grad = _term("ssim", x, x, cfg)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -190,7 +195,7 @@ def test_ssim_loss_decreases_as_pred_approaches_target():
     targ = rng.uniform((1, 1, 12, 12), 0, 1, dtype="double")
     noise = rng.uniform((1, 1, 12, 12), -1, 1, dtype="double")
     cfg = SsimConfig(mode="local", window=7)
-    losses = [ssim_loss(targ + a * noise, targ, cfg)[0] for a in (0.3, 0.1, 0.0)]
+    losses = [_term("ssim", targ + a * noise, targ, cfg)[0] for a in (0.3, 0.1, 0.0)]
     assert losses[0] > losses[1] > losses[2]
 
 
@@ -200,17 +205,17 @@ def test_ssim_loss_gradient_matches_finite_differences(mode, weighted):
     rng = RngStream(9)
     pred = rng.uniform((2, 2, 9, 13), 0, 1, dtype="double")
     targ = rng.uniform((2, 2, 9, 13), 0, 1, dtype="double")
-    wmap = 1.0 + rng.uniform((2, 1, 9, 13), 0, 1, dtype="double") if weighted else None
+    edge_beta = 4.0 if weighted else None
     cfg = SsimConfig(mode=mode, window=5)
-    _, grad = ssim_loss(pred, targ, cfg, wmap)
-    numeric = finite_diff(lambda v: ssim_loss(v, targ, cfg, wmap)[0], pred.copy())
+    _, grad = _term("ssim", pred, targ, cfg, edge_beta)
+    numeric = finite_diff(lambda v: _term("ssim", v, targ, cfg, edge_beta)[0], pred.copy())
     assert max_rel_err(grad, numeric) <= 1e-5
 
 
 def test_ssim_window_must_fit():
     with pytest.raises(ParameterError):
-        ssim_loss(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 4)),
-                  SsimConfig(mode="local", window=7))
+        _term("ssim", np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 4)),
+              SsimConfig(mode="local", window=7))
     with pytest.raises(ParameterError):
         SsimConfig(mode="local", window=4)
 
@@ -220,12 +225,12 @@ def test_ssim_window_must_fit():
 # ---------------------------------------------------------------------------
 
 def test_tv_two_by_two_step():
-    loss, _ = tv_loss(_img([[0, 1], [0, 1]]), eps=0.0)
+    loss, _ = _term("tv", *[_img([[0, 1], [0, 1]])] * 2, eps=0.0)
     assert loss == pytest.approx(1.0)
 
 
 def test_tv_constant_image_is_zero():
-    loss, grad = tv_loss(np.full((2, 1, 5, 5), 0.4), eps=0.0)
+    loss, grad = _term("tv", *[np.full((2, 1, 5, 5), 0.4)] * 2, eps=0.0)
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
@@ -233,14 +238,14 @@ def test_tv_constant_image_is_zero():
 def test_tv_diagonal_ramp():
     # p = q = 1 at every interior position -> each term sqrt(2)
     yy, xx = np.mgrid[0:4, 0:4].astype(np.float64)
-    loss, _ = tv_loss((yy + xx)[None, None], eps=0.0)
+    loss, _ = _term("tv", *[(yy + xx)[None, None]] * 2, eps=0.0)
     assert loss == pytest.approx(9 * np.sqrt(2.0))
 
 
 def test_tv_normalized_by_batch_only():
     img = _img([[0, 1], [0, 1]])
-    single, _ = tv_loss(img, eps=0.0)
-    double_batch, _ = tv_loss(np.concatenate([img, img]), eps=0.0)
+    single, _ = _term("tv", img, img, eps=0.0)
+    double_batch, _ = _term("tv", *[np.concatenate([img, img])] * 2, eps=0.0)
     assert double_batch == pytest.approx(single)
 
 
@@ -248,8 +253,8 @@ def test_tv_normalized_by_batch_only():
 @given(shift=st.floats(-5, 5), seed=st.integers(0, 100))
 def test_tv_invariant_under_constant_shift(shift, seed):
     x = RngStream(seed).uniform((1, 1, 6, 6), 0, 1, dtype="double")
-    a, _ = tv_loss(x)
-    b, _ = tv_loss(x + shift)
+    a, _ = _term("tv", x, x)
+    b, _ = _term("tv", x + shift, x + shift)
     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -274,13 +279,14 @@ def test_joint_loss_recomposition():
     params = {"a.conv.weight": rng.uniform((2, 1, 3, 3), -1, 1, dtype="double")}
     lw = LossWeights(10.0, 5.0, 0.5, 0.0001)
     cfg = SsimConfig(mode="local", window=7)
-    wmap = edge_weight_map(targ, 4.0)
 
-    rep = joint_loss([pred], [targ], params, lw, cfg, maps=[wmap])
-    l2_v, l2_g = l2_loss(pred, targ, wmap)
-    ss_v, ss_g = ssim_loss(pred, targ, cfg, wmap)
-    tv_v, tv_g = tv_loss(pred)
+    rep = joint_loss([pred], [targ], params, lw, cfg, 4.0, 1e-8)
+    l2_v, l2_g = _term("l2", pred, targ, cfg, 4.0)
+    ss_v, ss_g = _term("ssim", pred, targ, cfg, 4.0)
+    tv_v, tv_g = _term("tv", pred, targ, cfg, 4.0)
     wd_v, _ = weight_decay(params)
+    # each term's value is the same whatever the weights of the others
+    assert (rep.l2_term, rep.ssim_term, rep.tv_term) == (l2_v, ss_v, tv_v)
     assert rep.total == pytest.approx(
         lw.lambda1 * l2_v + lw.lambda2 * ss_v + lw.lambda3 * tv_v
         + lw.lambda4 * wd_v)
@@ -296,9 +302,9 @@ def test_joint_loss_averages_over_heads():
     t2 = rng.uniform((1, 1, 8, 8), 0, 1, dtype="double")
     lw = LossWeights(1.0, 1.0, 1.0, 0.0)
     cfg = SsimConfig(mode="global")
-    two = joint_loss([p1, p2], [t1, t2], {}, lw, cfg)
-    a = joint_loss([p1], [t1], {}, lw, cfg)
-    b = joint_loss([p2], [t2], {}, lw, cfg)
+    two = joint_loss([p1, p2], [t1, t2], {}, lw, cfg, None, 1e-8)
+    a = joint_loss([p1], [t1], {}, lw, cfg, None, 1e-8)
+    b = joint_loss([p2], [t2], {}, lw, cfg, None, 1e-8)
     assert two.total == pytest.approx((a.total + b.total) / 2.0)
     assert np.allclose(two.pred_grads[0], a.pred_grads[0] / 2.0)
 
@@ -308,16 +314,16 @@ def test_joint_loss_validates_heads():
     lw = LossWeights()
     cfg = SsimConfig(mode="global")
     with pytest.raises(ParameterError):
-        joint_loss([], [], {}, lw, cfg)
+        joint_loss([], [], {}, lw, cfg, None, 1e-8)
     with pytest.raises(ParameterError):
-        joint_loss([x], [x], {}, lw, cfg, maps=[None, None])
+        joint_loss([x], [x, x], {}, lw, cfg, None, 1e-8)
 
 
 @pytest.mark.parametrize("call", [
     lambda: edge_weight_map(np.zeros((1, 1, 4, 4)), beta=float("nan")),
-    lambda: tv_loss(np.zeros((1, 1, 4, 4)), eps=float("nan")),
+    lambda: _term("tv", np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 4)), eps=float("nan")),
     lambda: psnr(np.zeros((1, 1, 4, 4)), np.ones((1, 1, 4, 4)), max_value=float("nan")),
-], ids=["edge_weight_map-beta", "tv_loss-eps", "psnr-max_value"])
+], ids=["edge_weight_map-beta", "joint_loss-tv_eps", "psnr-max_value"])
 def test_nan_parameter_fails_by_name(call):
     with pytest.raises(ParameterError, match="nan"):
         call()
@@ -326,3 +332,27 @@ def test_nan_parameter_fails_by_name(call):
 def test_loss_weights_reject_negative():
     with pytest.raises(ParameterError):
         LossWeights(lambda2=-1.0)
+
+
+def _loss_bits(rep):
+    return ([float(v).hex() for v in (rep.l2_term, rep.ssim_term, rep.tv_term, rep.total)],
+            [(g.dtype, g.tobytes()) for g in rep.pred_grads])
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+@pytest.mark.parametrize("edge_beta", [None, 4.0], ids=["plain", "edge"])
+@pytest.mark.parametrize("dtype", ["single", "double"])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_joint_loss_bits_do_not_depend_on_chunk_size(monkeypatch, heads, dtype, edge_beta, mode):
+    rng = RngStream(12)
+    preds = [rng.uniform((5, 2, 10, 12), 0, 1, dtype=dtype) for _ in range(heads)]
+    targets = [rng.uniform((5, 2, 10, 12), 0, 1, dtype=dtype) for _ in range(heads)]
+    params = {"a.conv.weight": rng.uniform((2, 2, 3, 3), -1, 1, dtype=dtype)}
+    per_image = 2 * 10 * 12 * 8
+    reports = []
+    # one image per chunk, two (the last chunk one short), the whole batch
+    for chunk_bytes in (per_image, 2 * per_image, 5 * per_image):
+        monkeypatch.setattr(loss_mod, "_CHUNK_BYTES", chunk_bytes)
+        reports.append(_loss_bits(joint_loss(preds, targets, params, LossWeights(),
+                                             SsimConfig(mode=mode, window=5), edge_beta, 1e-8)))
+    assert reports[0] == reports[1] == reports[2]

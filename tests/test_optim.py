@@ -5,7 +5,7 @@ from synnet.data import augment, generate_phantom, training_pairs
 from synnet.model import Topology, build_model
 from synnet.optim import (OptimState, TrainConfig, TrainingDivergedError,
                           sgd_step, train)
-from synnet.loss import LossWeights, SsimConfig, edge_weight_map, joint_loss
+from synnet.loss import LossWeights, SsimConfig, joint_loss
 from synnet.tensor import RngStream, ParameterError, UsageError
 
 
@@ -40,6 +40,23 @@ def test_sgd_constant_gradient_velocity_geometric_series():
         sgd_step(params, {"w": np.array([g])}, state)
         expect = lr * g * (1 - rho ** k) / (1 - rho)
         assert state.velocity["w"][0] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", ["single", "double"])
+def test_sgd_step_updates_in_place_with_the_out_of_place_bits(dtype):
+    rng = RngStream(3)
+    p = rng.uniform((2, 3, 3, 3), -1, 1, dtype=dtype)
+    params, state = {"w": p}, OptimState(lr=0.05, momentum=0.9)
+    want_p, want_v = p.copy(), np.zeros_like(p)
+    for step in range(3):
+        g = rng.uniform((2, 3, 3, 3), -1, 1, dtype=dtype)
+        want_v = state.momentum * want_v + state.lr * g.astype(want_v.dtype)
+        want_p = (want_p - want_v).astype(want_p.dtype)
+        sgd_step(params, {"w": g}, state)
+        if step == 0:
+            v = state.velocity["w"]
+        assert params["w"] is p and state.velocity["w"] is v
+        assert p.tobytes() == want_p.tobytes() and v.tobytes() == want_v.tobytes()
 
 
 def test_sgd_rejects_shape_mismatch():
@@ -246,7 +263,7 @@ def test_training_loss_is_taken_on_the_unpadded_image():
     preds, _ = model.forward(params, dict(state), inputs, mode="train")
     assert preds[0].shape == targets[0].shape == (4, 1, 18, 18)
     expect = joint_loss(preds, targets, params, cfg.loss_weights, cfg.ssim,
-                        maps=[edge_weight_map(targets[0], cfg.edge_beta)], tv_eps=cfg.tv_eps)
+                        cfg.edge_beta, cfg.tv_eps)
     _, _, history = train(model, params, state, dataset, cfg, OptimState())
     assert history[0]["total"] == expect.total
 

@@ -80,10 +80,17 @@ def test_parse_config_errors_carry_line_numbers():
     ("channels = 0,4,8", r"channels must be >= 1, got \(0, 4, 8\)"),
     ("edge_beta = -1", "edge_beta must be >= 0, got -1.0"),
     ("tv_eps = -1", "tv_eps must be >= 0, got -1.0"),
+    ("seed = -1", "seed must be >= 0, got -1"),
+    # an infinite value would parse, then surface only in training
+    *[(f"{key} = {value}", f"{key} must be finite, got inf") for key, value in (
+        ("lr", "inf"), ("lambda1", "inf"), ("lambda2", "inf"), ("lambda3", "inf"),
+        ("lambda4", "inf"), ("lambda4", "1e400"), ("edge_beta", "inf"), ("tv_eps", "inf"))],
 ], ids=["dtype", "loss", "topology", "ssim_mode", "train_frac-0", "train_frac-1.5",
         "lr-negative", "lr-0", "momentum-1", "batch_size-0", "epochs-0", "lambda3-negative",
         "lambda1-nan", "depth-2", "channels-4-8", "miso_index_arm-2", "ssim_window-4",
-        "final_width-0", "channels-zero", "edge_beta-negative", "tv_eps-negative"])
+        "final_width-0", "channels-zero", "edge_beta-negative", "tv_eps-negative",
+        "seed-negative", "lr-inf", "lambda1-inf", "lambda2-inf", "lambda3-inf", "lambda4-inf",
+        "lambda4-1e400", "edge_beta-inf", "tv_eps-inf"])
 def test_parse_config_rejects_values_outside_allowed_set(line, message):
     with pytest.raises(ConfigError, match=f"line 2: {message}"):
         parse_config(f"lr = 0.1\n{line}\n")

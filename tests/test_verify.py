@@ -108,7 +108,7 @@ def test_ssim_map_oracle_agrees_with_fast_path(mode, shape, window, dtype):
     pred = rng.uniform(shape, 0, 1, dtype=dtype)
     target = rng.uniform(shape, 0, 1, dtype=dtype)
     cfg = SsimConfig(mode=mode, window=window)
-    # the per-pixel Q = l * c that `loss.ssim_loss` averages
+    # the per-pixel Q = l * c whose 1 - Q `loss.joint_loss` averages
     filt, _ = loss_mod._window(shape, cfg)
     *_, lum, con = loss_mod._ssim_stats(target.astype(np.float64), pred.astype(np.float64), filt)
     fast = lum * con
